@@ -4,8 +4,7 @@ Runs :func:`repro.experiments.benchperf.run_bench` — the same
 measurement behind ``repro bench-perf`` — and writes the
 ``BENCH_perf.json`` record this repo tracks over time:
 
-* kernel event throughput (events/sec) per registered backend, on a
-  steady-state storm and on the future-event-list scaling case,
+* kernel event throughput (events/sec) on a steady-state storm,
 * end-to-end simulation throughput (sims/sec),
 * wall clock + tuner evaluation counts for a full isoefficiency study
   in three arms: the historical serial cold-start tuner (baseline) and
@@ -69,13 +68,7 @@ def test_perf_record(benchmark, tmp_path):
         assert arm["simulations"] <= study["baseline"]["simulations"]
 
     # Structural soundness of the record.
-    kernel = payload["kernel"]
-    for cases in kernel["backends"].values():
-        for rec in cases.values():
-            assert rec["events_per_sec"] > 0
-    # The fast backend exists to win the at-scale case; machine noise
-    # never flips a >3x algorithmic gap below parity.
-    assert kernel["speedup_fast_vs_reference"]["fel"] > 1.0
+    assert payload["kernel"]["events_per_sec"] > 0
     assert payload["sims"]["sims_per_sec"] > 0
     assert set(study["baseline"]["tuned"]) == set(payload["rms"])
 

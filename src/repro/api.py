@@ -119,20 +119,15 @@ def engine_for_spec(spec: StudySpec, cache=None):
 def _apply_ambient_env(spec: StudySpec):
     """Export the spec's ambient knobs and resolve its fluid plan.
 
-    The kernel backend and a fluid traffic mode travel through the
-    environment so engine pool workers build configs identical to the
-    parent's (the plan also rides on each config; the export keeps
-    programmatic spawns consistent).  Returns the resolved
-    :class:`FluidPlan`.
+    A fluid traffic mode travels through the environment so engine
+    pool workers build configs identical to the parent's (the plan also
+    rides on each config; the export keeps programmatic spawns
+    consistent).  Returns the resolved :class:`FluidPlan`.
     """
     import os
 
     from .fluid.plan import ENV_TRAFFIC_MODE, resolve_fluid_plan
 
-    if spec.kernel_backend:
-        from .sim.backend import ENV_BACKEND, resolve_backend
-
-        os.environ[ENV_BACKEND] = resolve_backend(spec.kernel_backend)
     fluid = resolve_fluid_plan(
         mode=spec.traffic_mode, aggregator_fanout=spec.aggregator_fanout
     )
@@ -170,7 +165,6 @@ def _run_figure(spec: StudySpec, engine, fluid, study_cls) -> StudyResult:
         manifest_path=manifest_path,
         speculate=spec.speculate,
         warm_start=spec.warm_start,
-        kernel_backend=spec.kernel_backend,
         fluid=fluid,
     )
     fig = study.figure(number)

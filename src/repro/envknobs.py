@@ -14,8 +14,7 @@ environment value counts as unset for every knob (the historical
 behavior of each scattered call site, now uniform by construction).
 
 Modules must not read ``os.environ`` for ``REPRO_*`` names directly;
-they call the getters here (the historical direct lookups are kept
-importable through :func:`environ_get`, a shim that works but warns).
+they call the getters here.
 ``repro knobs`` renders the table for users; tests assert that every
 ``REPRO_*`` name mentioned anywhere in the source appears in it.
 """
@@ -23,14 +22,12 @@ importable through :func:`environ_get`, a shim that works but warns).
 from __future__ import annotations
 
 import os
-import warnings
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 __all__ = [
     "Knob",
     "KNOBS",
-    "environ_get",
     "get_bool",
     "get_float",
     "get_int",
@@ -82,9 +79,6 @@ KNOBS: Dict[str, Knob] = {
         Knob("REPRO_CACHE_DIR", "str", ".repro-cache",
              "run-cache root; study manifests live under <dir>/manifests/",
              "RunCache / --cache-dir"),
-        Knob("REPRO_KERNEL_BACKEND", "str", "reference",
-             "kernel backend for every simulation (bit-identical; provenance only)",
-             "sim.backend / --kernel-backend"),
         Knob("REPRO_TRAFFIC_MODE", "str", "discrete",
              "traffic model: discrete per-message simulation or fluid rate charges",
              "fluid.plan / --traffic-mode"),
@@ -209,7 +203,7 @@ def get_bool(env: str, override: Optional[bool] = None, default: bool = False) -
 
 
 # ---------------------------------------------------------------------------
-# The rendered table (``repro knobs``) and the deprecation shim
+# The rendered table (``repro knobs``)
 # ---------------------------------------------------------------------------
 
 def knob_rows() -> List[List[str]]:
@@ -232,20 +226,3 @@ def render_knob_table() -> str:
         lines.append(f"  {' ' * width}  default: {k.default}; consumer: {k.consumer}")
     return "\n".join(lines)
 
-
-def environ_get(env: str, default: Optional[str] = None) -> Optional[str]:
-    """Deprecated spelling of a direct ``os.environ.get`` on a knob.
-
-    Exists so out-of-tree callers that used to read ``REPRO_*``
-    variables directly have a drop-in replacement; in-tree code calls
-    the typed getters.  Warns once per call site and applies the same
-    blank-is-unset rule as :func:`raw`.
-    """
-    warnings.warn(
-        f"environ_get({env!r}) is deprecated; use the typed getters in "
-        "repro.envknobs (get_str/get_int/get_float/get_bool)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    value = raw(env)
-    return default if value is None else value

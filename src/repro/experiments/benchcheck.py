@@ -12,13 +12,7 @@ Two metric classes, two comparison rules:
   vary with the machine, so they are compared by *ratio* against two
   configurable tolerances: a regression beyond ``warn_tolerance``
   (default 10%) warns, beyond ``fail_tolerance`` (default 25%) fails.
-  Improvements never warn.  Schema-2 records carry a per-backend,
-  multi-case kernel section: each backend/case is compared against
-  **its own** baseline (never cross-backend), and the recorded
-  ``fast``/``reference`` speedup ratio is itself watched, so the fast
-  backend losing its algorithmic win trips the watchdog even when both
-  backends merely got "a bit slower".  Schema-1 baselines (single
-  reference storm) still load and compare.
+  Improvements never warn.
 * **Deterministic counts** (simulation counts, per-scale evaluation
   counts, the tuned settings themselves, the cross-worker identity
   flag) must match the baseline **exactly** — any drift means behavior
@@ -95,9 +89,6 @@ def run_current_bench(
     from .benchperf import run_bench
 
     arm_jobs = [a.get("jobs", 1) for a in baseline.get("study", {}).get("arms", [])]
-    kernel_cases = _kernel_cases(baseline)
-    storm = kernel_cases.get(("reference", "storm"), {})
-    fel = kernel_cases.get(("reference", "fel"), {})
     return run_bench(
         profile=profile if profile is not None else baseline.get("profile", "ci"),
         rms=rms if rms is not None else baseline.get("rms"),
@@ -105,8 +96,7 @@ def run_current_bench(
         seed=baseline.get("seed", 7),
         sa_iterations=baseline.get("sa_iterations"),
         jobs=jobs if jobs is not None else (max(arm_jobs) if arm_jobs else 4),
-        kernel_events=storm.get("events", 200_000),
-        fel_events=fel.get("events", 1_000_000),
+        kernel_events=baseline.get("kernel", {}).get("events", 200_000),
         # A baseline that predates the fluid section has nothing to
         # compare it against — skip the minutes-long extreme-scale run.
         include_fluid="fluid" in baseline,
@@ -156,26 +146,6 @@ def _exact_check(metric: str, base: Any, cur: Any) -> CheckResult:
     )
 
 
-def _kernel_cases(payload: Dict[str, Any]) -> Dict[tuple, Dict[str, Any]]:
-    """The kernel section as ``{(backend, case): record}``.
-
-    Schema 2 reads the per-backend ``backends`` map; a schema-1 record
-    (one flat reference storm) maps onto ``("reference", "storm")`` so
-    old baselines remain comparable.
-    """
-    kernel = payload.get("kernel") or {}
-    backends = kernel.get("backends")
-    if backends is not None:
-        return {
-            (name, case): rec
-            for name, cases in backends.items()
-            for case, rec in cases.items()
-        }
-    if kernel:
-        return {("reference", "storm"): kernel}
-    return {}
-
-
 def _study_params(payload: Dict[str, Any]) -> tuple:
     return (
         payload.get("profile"),
@@ -197,45 +167,16 @@ def compare_bench(
         raise ValueError("tolerances must satisfy 0 < warn <= fail")
     checks: List[CheckResult] = []
 
-    # -- kernel: per backend/case, each against its own baseline; a
-    #    case is parameter-compatible iff its event budget matches ------
-    b_cases, c_cases = _kernel_cases(baseline), _kernel_cases(current)
-    legacy = "backends" not in (baseline.get("kernel") or {})
-    for (backend, case), b_rec in sorted(b_cases.items()):
-        name = (
-            "kernel.events_per_sec"
-            if legacy
-            else f"kernel.{backend}.{case}.events_per_sec"
-        )
-        c_rec = c_cases.get((backend, case))
-        if c_rec is None:
-            checks.append(
-                CheckResult(name, "skip", "no matching backend/case in current record")
-            )
-        elif b_rec.get("events") != c_rec.get("events"):
-            checks.append(CheckResult(name, "skip", "event budgets differ"))
-        else:
-            checks.append(
-                _timing_check(
-                    name,
-                    b_rec.get("events_per_sec"),
-                    c_rec.get("events_per_sec"),
-                    True,
-                    warn_tolerance,
-                    fail_tolerance,
-                )
-            )
-    # The fast backend's algorithmic win is tracked as its own metric:
-    # the speedup ratio regressing matters even if both backends slowed
-    # down together (same machine noise cancels in the ratio).
-    b_speed = (baseline.get("kernel") or {}).get("speedup_fast_vs_reference") or {}
-    c_speed = (current.get("kernel") or {}).get("speedup_fast_vs_reference") or {}
-    for case in sorted(b_speed):
+    # -- kernel: comparable iff the event budgets match ----------------
+    b_kernel, c_kernel = baseline.get("kernel") or {}, current.get("kernel") or {}
+    if b_kernel.get("events") != c_kernel.get("events"):
+        checks.append(CheckResult("kernel.events_per_sec", "skip", "event budgets differ"))
+    else:
         checks.append(
             _timing_check(
-                f"kernel.speedup_fast_vs_reference.{case}",
-                b_speed.get(case),
-                c_speed.get(case),
+                "kernel.events_per_sec",
+                b_kernel.get("events_per_sec"),
+                c_kernel.get("events_per_sec"),
                 True,
                 warn_tolerance,
                 fail_tolerance,

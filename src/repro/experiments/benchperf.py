@@ -4,13 +4,9 @@ Measures the three layers this codebase optimizes and writes them to
 ``BENCH_perf.json`` so the perf trajectory is recorded alongside the
 code:
 
-* **kernel** — raw event throughput (events/sec) of every registered
-  kernel backend, two cases each: a self-scheduling *storm* (steady
-  small heap: pure ``schedule``/``pop``/dispatch cost plus a lazy-cancel
-  stream) and *fel*, the future-event-list scaling case (preload a
-  large batch of events in arrival order — the workload-injection
-  pattern — then drain), with per-case ``fast`` vs ``reference``
-  speedups.
+* **kernel** — raw event throughput (events/sec) of the kernel on a
+  self-scheduling *storm* (steady small heap: pure
+  ``schedule``/``pop``/dispatch cost plus a lazy-cancel stream).
 * **sims** — end-to-end simulation throughput (sims/sec) on a
   representative configuration, through the same
   :func:`~repro.experiments.runner.run_simulation` every experiment
@@ -43,6 +39,7 @@ from typing import Dict, List, Optional, Sequence
 from ..core.annealing import AnnealingSchedule
 from ..core.procedure import ScalabilityProcedure
 from ..rms.registry import rms_names
+from ..sim.kernel import Simulator
 from .cases import get_case, make_batch_simulate, make_simulate
 from .config import PROFILES, ScaleProfile, SimulationConfig
 from .parallel import ExperimentEngine
@@ -52,8 +49,6 @@ from .runner import run_simulation
 __all__ = [
     "bench_fluid",
     "bench_kernel",
-    "bench_kernel_fel",
-    "bench_kernel_section",
     "bench_sims",
     "bench_study_arm",
     "run_bench",
@@ -69,18 +64,16 @@ DEFAULT_OUTPUT = "BENCH_perf.json"
 # Layer 1: kernel dispatch throughput
 # ---------------------------------------------------------------------------
 
-def bench_kernel(events: int = 200_000, fanout: int = 4, backend: str = "reference") -> Dict:
+def bench_kernel(events: int = 200_000, fanout: int = 4) -> Dict:
     """Dispatch throughput of the bare DES kernel (events/sec).
 
     Runs a self-scheduling storm of ``fanout`` interleaved periodic
     chains plus a cancellation stream (so the event store sees pushes,
     pops, and lazy-cancel discards — the mix the real protocols
     produce), and reports how many events per wall-clock second the
-    selected ``backend`` retires.
+    kernel retires.
     """
-    from ..sim.backend import create_kernel
-
-    sim = create_kernel(backend)
+    sim = Simulator()
     state = {"left": events, "victim": None}
 
     def tick(lane: int) -> None:
@@ -109,61 +102,6 @@ def bench_kernel(events: int = 200_000, fanout: int = 4, backend: str = "referen
         "seconds": round(seconds, 6),
         "events_per_sec": round(sim.events_executed / seconds) if seconds > 0 else None,
     }
-
-
-def bench_kernel_fel(events: int = 1_000_000, backend: str = "reference") -> Dict:
-    """The future-event-list scaling case (events/sec, schedule + drain).
-
-    Preloads ``events`` pending events in nondecreasing time order —
-    exactly how the runner pre-schedules a workload's job arrivals —
-    then drains the whole list.  This is the regime the ROADMAP's
-    million-pending-event ambitions live in, and the case the ``fast``
-    backend's sorted-spine store is built for (the reference heap pays
-    an O(log n) sift per event here).
-    """
-    from ..sim.backend import create_kernel
-
-    sim = create_kernel(backend)
-
-    def _noop() -> None:
-        pass
-
-    t0 = time.perf_counter()
-    for i in range(events):
-        sim.schedule(i * 1e-3, _noop)
-    sim.run()
-    seconds = time.perf_counter() - t0
-    return {
-        "events": events,
-        "seconds": round(seconds, 6),
-        "events_per_sec": round(events / seconds) if seconds > 0 else None,
-    }
-
-
-def bench_kernel_section(events: int = 200_000, fel_events: int = 1_000_000) -> Dict:
-    """The per-backend kernel section of the bench record (schema 2).
-
-    Every registered backend runs the same two cases; the section also
-    records the ``fast``/``reference`` speedup per case — the tracked
-    witness of the fast backend's win on the at-scale case.
-    """
-    from ..sim.backend import backend_names
-
-    backends = {
-        name: {
-            "storm": bench_kernel(events=events, backend=name),
-            "fel": bench_kernel_fel(events=fel_events, backend=name),
-        }
-        for name in backend_names()
-    }
-    speedups = {}
-    ref = backends.get("reference")
-    fast = backends.get("fast")
-    if ref and fast:
-        for case in ("storm", "fel"):
-            base, cur = ref[case]["events_per_sec"], fast[case]["events_per_sec"]
-            speedups[case] = round(cur / base, 3) if base and cur else None
-    return {"backends": backends, "speedup_fast_vs_reference": speedups}
 
 
 # ---------------------------------------------------------------------------
@@ -415,14 +353,13 @@ def run_bench(
     jobs: int = 4,
     speculation: int = DEFAULT_SPECULATION_WIDTH,
     kernel_events: int = 200_000,
-    fel_events: int = 1_000_000,
     include_fluid: bool = True,
 ) -> Dict:
     """Run every layer and return the ``BENCH_perf.json`` payload.
 
     Schema 3 adds the ``fluid`` section (cross-validated event-count
     reduction at extreme scale); ``repro bench-check`` still reads
-    schema-1 and schema-2 baselines and skips sections they lack.
+    schema-1 baselines and skips the section they lack.
     ``include_fluid=False`` drops that section — the extreme-scale run
     is minutes of wall clock a quick kernel-only check may not want.
     """
@@ -430,7 +367,7 @@ def run_bench(
     rms_list = list(rms) if rms is not None else rms_names()
     iters = sa_iterations if sa_iterations is not None else prof.sa_iterations
 
-    kernel = bench_kernel_section(events=kernel_events, fel_events=fel_events)
+    kernel = bench_kernel(events=kernel_events)
     sims = bench_sims(prof, rms=rms_list[0], seed=seed)
     # The fluid section always runs LOWEST: the cross-validation
     # contract (F bit-identical) is pinned to designs whose placements
@@ -498,24 +435,10 @@ def render_report(payload: Dict) -> str:
         f"seed={payload['seed']} rms={','.join(payload['rms'])}",
     ]
     kernel = payload["kernel"]
-    if "backends" in kernel:  # schema 2: per-backend, multi-case
-        for name, cases in kernel["backends"].items():
-            per_case = ", ".join(
-                f"{case} {rec['events_per_sec']:,} ev/s ({rec['events']:,} events)"
-                for case, rec in cases.items()
-            )
-            lines.append(f"kernel[{name}]: {per_case}")
-        speed = kernel.get("speedup_fast_vs_reference") or {}
-        if speed:
-            lines.append(
-                "kernel fast vs reference: "
-                + ", ".join(f"{case} x{ratio}" for case, ratio in speed.items())
-            )
-    else:  # schema 1
-        lines.append(
-            f"kernel: {kernel['events_per_sec']:,} events/sec "
-            f"({kernel['events']:,} events in {kernel['seconds']:.3f}s)"
-        )
+    lines.append(
+        f"kernel: {kernel['events_per_sec']:,} events/sec "
+        f"({kernel['events']:,} events in {kernel['seconds']:.3f}s)"
+    )
     lines.append(
         f"sims:   {payload['sims']['sims_per_sec']} sims/sec ({payload['sims']['rms']} base config)"
     )

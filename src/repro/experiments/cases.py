@@ -102,7 +102,6 @@ class ExperimentCase:
         profile: ScaleProfile,
         seed: int = 7,
         faults=None,
-        kernel_backend: Optional[str] = None,
         monitor=None,
         fluid=None,
         trace=None,
@@ -112,8 +111,7 @@ class ExperimentCase:
         Applies the case's scaling variables; the tuner layers enabler
         settings on top via ``SimulationConfig.with_enablers``.  An
         optional :class:`~repro.faults.plan.FaultPlan` rides along
-        verbatim (``None`` keeps the inert default), as do an explicit
-        kernel backend name (``None`` defers to the environment), a
+        verbatim (``None`` keeps the inert default), as do a
         :class:`~repro.telemetry.timeseries.MonitorPlan` (``None`` keeps
         monitoring off), a :class:`~repro.fluid.plan.FluidPlan`
         (``None`` keeps the discrete traffic model), and a
@@ -123,8 +121,6 @@ class ExperimentCase:
         config = self._base_config(rms, k, profile, seed)
         if faults is not None:
             config = replace(config, faults=faults)
-        if kernel_backend is not None:
-            config = replace(config, kernel_backend=kernel_backend)
         if monitor is not None:
             config = replace(config, monitor=monitor)
         if fluid is not None:
@@ -227,7 +223,6 @@ def make_simulate(
     seed: int = 7,
     memo: Optional[Dict] = None,
     engine=None,
-    kernel_backend: Optional[str] = None,
     fluid=None,
 ) -> Callable[[float, Mapping[str, float]], RunMetrics]:
     """Build the ``simulate(k, settings)`` closure for one (case, RMS).
@@ -242,10 +237,6 @@ def make_simulate(
         Optional :class:`~repro.experiments.parallel.ExperimentEngine`;
         when given, runs execute through it (and hit its persistent run
         cache) instead of calling :func:`run_simulation` directly.
-    kernel_backend:
-        Kernel backend for every run of the closure (``None`` defers to
-        the environment).  Carried on the config so engine workers use
-        it too; never part of the run-cache key.
     fluid:
         Optional :class:`~repro.fluid.plan.FluidPlan` applied to every
         run of the closure (``None`` keeps the discrete model).  An
@@ -259,7 +250,7 @@ def make_simulate(
         if hit is not None:
             return hit
         config = case.config_for(
-            rms, k, profile, seed=seed, kernel_backend=kernel_backend, fluid=fluid
+            rms, k, profile, seed=seed, fluid=fluid
         ).with_enablers(dict(settings))
         metrics = engine.run(config) if engine is not None else run_simulation(config)
         cache[key] = metrics
@@ -275,7 +266,6 @@ def make_batch_simulate(
     seed: int = 7,
     memo: Optional[Dict] = None,
     engine=None,
-    kernel_backend: Optional[str] = None,
     fluid=None,
 ) -> Callable[[Sequence[Tuple[float, Mapping[str, float]]]], List[RunMetrics]]:
     """Build the batch companion of :func:`make_simulate`.
@@ -301,12 +291,7 @@ def make_batch_simulate(
                 todo_keys.append(key)
                 todo_configs.append(
                     case.config_for(
-                        rms,
-                        k,
-                        profile,
-                        seed=seed,
-                        kernel_backend=kernel_backend,
-                        fluid=fluid,
+                        rms, k, profile, seed=seed, fluid=fluid
                     ).with_enablers(dict(settings))
                 )
         if todo_configs:

@@ -533,7 +533,6 @@ def _cmd_bench_perf(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         speculation=args.speculate,
         kernel_events=args.kernel_events,
-        fel_events=args.fel_events,
         include_fluid=args.fluid,
     )
     print(render_report(payload))
@@ -1051,15 +1050,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--kernel-events",
         type=int,
         default=200_000,
-        help="event count of the kernel storm micro-benchmark "
-        "(each registered backend runs it)",
-    )
-    bench.add_argument(
-        "--fel-events",
-        type=int,
-        default=1_000_000,
-        help="pending-event count of the kernel future-event-list scaling "
-        "case (each registered backend runs it)",
+        help="event count of the kernel storm micro-benchmark",
     )
     bench.add_argument(
         "--no-fluid",

@@ -22,7 +22,6 @@ consume work comparable to the delivered computation.
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Optional, Tuple
 
@@ -213,24 +212,11 @@ class SimulationConfig:
         The run's :class:`~repro.faults.plan.FaultPlan` (inert by
         default).  Hashed into the run-cache key like every other
         field.
-    loss_probability:
-        Deprecated: use ``faults.link_loss``.  A nonzero value emits a
-        ``DeprecationWarning`` and is canonicalized onto the fault plan
-        (the field itself is reset to 0), so equivalent configs hash to
-        the same cache key regardless of which spelling was used.
-    kernel_backend:
-        Which kernel backend executes the run (``None`` defers to
-        ``$REPRO_KERNEL_BACKEND``, then ``reference`` — see
-        :mod:`repro.sim.backend`).  Backends are bit-identical by
-        contract, so this field is **provenance, not semantics**: it is
-        deliberately excluded from the run-cache key (a cached result
-        is valid for every backend) and recorded as metadata in cache
-        entries, manifests, and bench reports instead.
     monitor:
         The run's :class:`~repro.telemetry.timeseries.MonitorPlan`
         (disabled by default).  **Passive** plans (zero probe charge
         rate) observe without perturbing F/G/H and are excluded from
-        the run-cache key like ``kernel_backend``; an **active** plan
+        the run-cache key; an **active** plan
         charges ``g.monitor`` and is hashed like any semantic field.
     trace:
         The run's :class:`~repro.telemetry.tracing.TracePlan`
@@ -258,7 +244,6 @@ class SimulationConfig:
     common: CommonParameters = field(default_factory=CommonParameters)
     costs: CostModel = field(default_factory=CostModel)
     faults: FaultPlan = field(default_factory=FaultPlan)
-    loss_probability: float = 0.0
     #: estimator aggregation period; ``None`` derives it as half the
     #: update interval, ``0`` disables batching (ablation).
     estimator_batch_window: Optional[float] = None
@@ -269,8 +254,6 @@ class SimulationConfig:
     max_parents: int = 2
     #: parents are drawn among this many most recent jobs
     dependency_window: int = 10
-    #: kernel backend name (provenance; excluded from cache keys)
-    kernel_backend: Optional[str] = None
     #: time-resolved monitoring plan (passive plans excluded from cache keys)
     monitor: MonitorPlan = field(default_factory=MonitorPlan)
     #: traffic mode plan (inert ``discrete`` plans excluded from cache
@@ -302,28 +285,6 @@ class SimulationConfig:
             raise ValueError("horizon must be positive, drain nonnegative")
         if not (0.0 <= self.dependency_prob <= 1.0):
             raise ValueError("dependency_prob must be in [0, 1]")
-        if self.loss_probability:
-            warnings.warn(
-                "SimulationConfig.loss_probability is deprecated; "
-                "use faults=FaultPlan(link_loss=...) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if self.faults.link_loss:
-                raise ValueError(
-                    "loss_probability (deprecated) and faults.link_loss "
-                    "both set; use only faults.link_loss"
-                )
-            if not (0.0 <= self.loss_probability < 1.0):
-                raise ValueError("loss_probability must be in [0, 1)")
-            # Canonicalize onto the plan: equivalent configs become
-            # *literally* equal, so they hash to the same cache key.
-            object.__setattr__(
-                self,
-                "faults",
-                replace(self.faults, link_loss=self.loss_probability),
-            )
-            object.__setattr__(self, "loss_probability", 0.0)
 
     @property
     def heartbeat_timeout(self) -> float:

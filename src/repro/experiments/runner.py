@@ -33,7 +33,7 @@ from ..network.messages import Message, MessageKind
 from ..network.routing import Router
 from ..network.transport import Network
 from ..rms.registry import get_rms
-from ..sim.backend import KernelBackend, create_kernel
+from ..sim.kernel import Simulator
 from ..sim.monitor import Tally
 from ..sim.rng import RngHub
 from ..telemetry import flightrec as _flightrec
@@ -115,7 +115,7 @@ class System:
     """A fully wired managed system, ready to run."""
 
     config: SimulationConfig
-    sim: KernelBackend
+    sim: Simulator
     ledger: CostLedger
     network: Network
     schedulers: List
@@ -195,10 +195,7 @@ def build_system(config: SimulationConfig) -> System:
     """Construct the managed system described by ``config``."""
     info = get_rms(config.rms)
     hub = RngHub(config.seed)
-    # Backend selection (config > env > reference) changes only *how*
-    # events are stored — every backend dispatches the identical event
-    # sequence, so results are backend-independent by contract.
-    sim = create_kernel(config.kernel_backend)
+    sim = Simulator()
     ledger = CostLedger()
 
     n_sched = 1 if info.centralized else config.n_schedulers
@@ -230,10 +227,6 @@ def build_system(config: SimulationConfig) -> System:
         # Dijkstra each would dwarf the run itself.  Latency-symmetric
         # reverse lookup reuses the schedulers' cached tables.
         router.symmetric = True
-    # The plan's link_loss subsumes the deprecated loss_probability
-    # knob (__post_init__ canonicalizes it onto the plan); the rng
-    # stream name is unchanged so the deprecated spelling reproduces
-    # the same loss decisions bit-for-bit.
     plan = config.faults
     network = Network(
         sim,
@@ -457,7 +450,7 @@ def build_system(config: SimulationConfig) -> System:
 
     # --- time-resolved monitoring ----------------------------------------
     # Gated on the plan recording anything: an unmonitored run keeps
-    # ledger.observer is None (no hot-path cost on either backend) and
+    # ledger.observer is None (no hot-path cost) and
     # schedules no probe events.  Armed *last* so the probe loop's event
     # only shifts seq numbers uniformly after all build-time scheduling;
     # probes are pure reads, so real events dispatch identically and a

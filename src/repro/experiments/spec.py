@@ -49,11 +49,9 @@ SPEC_VERSION = 1
 KINDS = ("figure", "compare", "faults", "series", "trace")
 
 #: fields that do not affect the measured numbers — execution mechanics
-#: and presentation only; :func:`spec_digest` excludes them (the kernel
-#: backend is bit-identical by contract, hence provenance, not science)
+#: and presentation only; :func:`spec_digest` excludes them
 EXECUTION_FIELDS = frozenset(
-    {"jobs", "cache_dir", "no_cache", "resume", "kernel_backend",
-     "quantity", "precision"}
+    {"jobs", "cache_dir", "no_cache", "resume", "quantity", "precision"}
 )
 
 
@@ -87,7 +85,6 @@ class StudySpec:
     cache_dir: Optional[str] = None
     no_cache: bool = False
     resume: bool = False
-    kernel_backend: Optional[str] = None   # bit-identical: provenance only
 
     # -- how to present ------------------------------------------------
     quantity: Optional[str] = None         # kind=figure: plotted quantity

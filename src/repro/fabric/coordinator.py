@@ -136,6 +136,12 @@ class Coordinator:
         """Shut down: stop accepting, dismiss workers, wake waiters."""
         self._stopped.set()
         if self._listener is not None:
+            # close() alone does not wake a thread blocked in accept()
+            # on Linux; shutdown() does.
+            try:
+                self._listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             try:
                 self._listener.close()
             except OSError:

@@ -8,8 +8,7 @@ substrate supports into a single frozen dataclass that rides on
 hashed into the run-cache key):
 
 * **link loss** — the transport's control-plane message-loss
-  probability (successor of the deprecated
-  ``SimulationConfig.loss_probability`` knob);
+  probability;
 * **resource churn** — crash/recover cycles, either stochastic
   (exponential MTTF/MTTR drawn from the run's deterministic RNG) or an
   explicit :class:`CrashEvent` timeline;
@@ -126,8 +125,7 @@ class FaultPlan:
     ----------
     link_loss:
         Control-plane message-loss probability (the job plane stays
-        reliable; see :mod:`repro.network.transport`).  Successor of
-        the deprecated ``SimulationConfig.loss_probability``.
+        reliable; see :mod:`repro.network.transport`).
     resource_mttf / resource_mttr:
         Exponential mean time to failure / to repair for stochastic
         resource churn.  ``resource_mttr=None`` derives MTTR as one

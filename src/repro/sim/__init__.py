@@ -2,13 +2,8 @@
 
 Public surface:
 
-* :class:`~repro.sim.kernel.Simulator` — the event loop (the
-  ``reference`` backend).
-* :class:`~repro.sim.fastkernel.FastSimulator` — the array-backed
-  ``fast`` backend.
-* :mod:`~repro.sim.backend` — the :class:`KernelBackend` contract and
-  registry (:func:`create_kernel` selects by name /
-  ``REPRO_KERNEL_BACKEND``).
+* :class:`~repro.sim.kernel.Simulator` — the event loop; its docstring
+  states the kernel contract.
 * :class:`~repro.sim.events.Event` / :class:`~repro.sim.events.EventQueue`
   — scheduling primitives.
 * :class:`~repro.sim.entity.Entity` / :class:`~repro.sim.entity.MessageServer`
@@ -17,16 +12,8 @@ Public surface:
 * :mod:`~repro.sim.monitor` — statistics collectors.
 """
 
-from .backend import (
-    KernelBackend,
-    backend_names,
-    create_kernel,
-    register_backend,
-    resolve_backend,
-)
 from .entity import ChargeSink, Entity, MessageServer
 from .events import Event, EventQueue
-from .fastkernel import FastSimulator
 from .kernel import SimulationError, Simulator
 from .monitor import Counter, SeriesRecorder, Tally, TimeWeighted
 from .rng import RngHub
@@ -38,8 +25,6 @@ __all__ = [
     "Entity",
     "Event",
     "EventQueue",
-    "FastSimulator",
-    "KernelBackend",
     "MessageServer",
     "RngHub",
     "SeriesRecorder",
@@ -49,10 +34,6 @@ __all__ = [
     "TimeWeighted",
     "TraceRecord",
     "TraceRecorder",
-    "backend_names",
     "busy_gantt",
-    "create_kernel",
     "job_timeline",
-    "register_backend",
-    "resolve_backend",
 ]

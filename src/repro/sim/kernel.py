@@ -33,6 +33,33 @@ class SimulationError(RuntimeError):
 class Simulator:
     """A sequential discrete-event simulator.
 
+    Contract (pinned by ``tests/test_kernel_conformance.py``):
+
+    * Events fire in ``(time, seq)`` total order, ``seq`` being the
+      scheduling order — ties are FIFO and deterministic.
+    * ``schedule(delay, fn, *args)`` rejects negative/NaN delays with
+      :class:`SimulationError` and returns an opaque cancellation
+      handle; ``schedule_at`` is the absolute-time spelling under the
+      same no-past rule.
+    * ``cancel(handle)`` is lazy and idempotent: cancelling a fired or
+      already-cancelled event is a no-op, and a cancelled event never
+      runs nor counts in ``events_executed``.
+    * ``run(until=, max_events=)``: inclusive horizon; the clock lands
+      exactly on ``until`` whenever given — even when ``max_events``
+      (``0`` allowed) stopped dispatch first — and never runs
+      backwards.  A horizon before ``now`` raises.
+    * ``step()`` dispatches the single earliest event, returning
+      whether one ran.
+    * ``pop_until(limit)`` removes and returns the earliest pending
+      ``(time, fn, args)`` at or before ``limit`` (``None`` = no
+      horizon) without dispatching: clock, trace, and counters are
+      untouched.  ``peek_time()`` reports the earliest pending time
+      without removing anything.
+    * ``pending`` counts live events; ``events_executed`` counts
+      dispatched ones; ``trace`` (read *per event*, so it can be
+      swapped mid-run) is called as ``trace(time, fn, args)`` before
+      each dispatch.
+
     Parameters
     ----------
     start_time:
@@ -133,7 +160,7 @@ class Simulator:
         self._queue.cancel(event)
 
     # ------------------------------------------------------------------
-    # Queue inspection (part of the KernelBackend contract)
+    # Queue inspection
     # ------------------------------------------------------------------
     def peek_time(self) -> Optional[float]:
         """Firing time of the earliest pending event, or ``None``.
@@ -151,7 +178,7 @@ class Simulator:
         ``limit=None`` means no horizon.  The clock, the trace hook, and
         ``events_executed`` are untouched: this is the dispatch-loop
         primitive that ``run()`` is built on, exposed so the conformance
-        suite can pin its batching semantics for every backend.
+        suite can pin its batching semantics.
         """
         ev = self._queue.pop_until(limit)
         if ev is None:

@@ -23,7 +23,7 @@ This module supplies that sensor layer in four pieces:
   pre-existing observer, exactly like the flight recorder) to bucket
   every charge into per-window F/G/H totals plus per-component G detail.
   The disabled path is the ledger's existing ``observer is None`` test:
-  runs without a plan pay nothing on either kernel backend's hot path.
+  runs without a plan pay nothing on the kernel's hot path.
 * :class:`ProbeSampler` — an in-sim sampling loop (configurable sim-time
   period) reading scheduler queue depths and in-flight dispatch counts,
   estimator queue depths and staleness/heartbeat gaps, resource

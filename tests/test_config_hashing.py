@@ -27,7 +27,6 @@ from repro.experiments import SimulationConfig
 from repro.experiments.config import CommonParameters
 from repro.experiments.parallel import (
     CONDITIONAL_PROVENANCE_FIELDS,
-    PROVENANCE_FIELDS,
     canonical_config,
     config_key,
 )
@@ -100,7 +99,6 @@ _FIELD_CHANGES = [
     ("horizon", 4000.0),
     ("drain", 5000.0),
     ("seed", 8),
-    ("loss_probability", 0.1),
     ("estimator_batch_window", 15.0),
     ("dependency_prob", 0.2),
     ("max_parents", 3),
@@ -170,17 +168,22 @@ class TestCrossProcessStability:
     def test_canonical_form_covers_every_field(self):
         """No config field may *silently* escape the hash.
 
-        Every field is either hashed, explicitly declared provenance
-        (recorded alongside results but excluded from the key — e.g.
-        ``kernel_backend``, whose backends are bit-identical by
-        contract, so one cached result serves all of them), or declared
-        *conditionally* provenance (``monitor``: dropped while passive,
-        hashed once it charges).
+        Every field is either hashed or declared *conditionally*
+        provenance (``monitor``: dropped while passive, hashed once it
+        charges).
         """
         canon = canonical_config(base_config())
-        declared = PROVENANCE_FIELDS | CONDITIONAL_PROVENANCE_FIELDS
         for f in dataclasses.fields(SimulationConfig):
-            assert f.name in canon or f.name in declared
+            assert f.name in canon or f.name in CONDITIONAL_PROVENANCE_FIELDS
+
+    def test_key_unchanged_by_field_removals(self):
+        """Removing a config field must not orphan existing cache
+        entries: this key was recorded while ``SimulationConfig`` still
+        had two fields it has since lost (the deprecated loss knob and
+        the kernel selector)."""
+        assert config_key(base_config()) == (
+            "49953e2fd2232837cefd010830c47a4f7c44a3bb613973dda1bb5e66e8fe4261"
+        )
 
     def test_conditional_provenance_hashes_when_active(self):
         """An active monitor plan is semantics, not provenance."""
@@ -192,12 +195,3 @@ class TestCrossProcessStability:
         )
         assert "monitor" in canonical_config(active)
         assert config_key(active) != config_key(base_config())
-
-    def test_provenance_fields_excluded_from_hash(self):
-        """Declared provenance fields never perturb the key."""
-        canon = canonical_config(base_config())
-        for name in PROVENANCE_FIELDS:
-            assert name not in canon
-        ref = config_key(base_config())
-        assert config_key(replace(base_config(), kernel_backend="fast")) == ref
-        assert config_key(replace(base_config(), kernel_backend="reference")) == ref

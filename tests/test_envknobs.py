@@ -15,7 +15,6 @@ import pytest
 from repro import envknobs
 from repro.envknobs import (
     KNOBS,
-    environ_get,
     get_bool,
     get_float,
     get_int,
@@ -111,18 +110,6 @@ class TestRegistryCompleteness:
         rows = knob_rows()
         assert len(rows) == len(KNOBS)
         assert all(len(r) == 5 for r in rows)
-
-
-class TestDeprecationShim:
-    def test_environ_get_warns_but_works(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", "/tmp/x")
-        with pytest.warns(DeprecationWarning, match="environ_get"):
-            assert environ_get("REPRO_CACHE_DIR") == "/tmp/x"
-
-    def test_environ_get_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
-        with pytest.warns(DeprecationWarning):
-            assert environ_get("REPRO_CACHE_DIR", "fallback") == "fallback"
 
 
 class TestKnobsCli:

@@ -261,6 +261,12 @@ class TestCoordinatorRecovery:
         with pytest.raises(RuntimeError, match="stopped"):
             coord.execute(["k1"], [{"c": 1}])
 
+    def test_stop_ends_every_thread(self):
+        coord = Coordinator(port=0, heartbeat_timeout=10.0).start()
+        coord.stop()
+        alive = [t.name for t in coord._threads if t.is_alive()]
+        assert alive == []
+
 
 # ---------------------------------------------------------------------------
 # localhost integration: byte identity, with and without a crash

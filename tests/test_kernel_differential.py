@@ -1,48 +1,19 @@
-"""Differential tests: the fast kernel backend vs the reference.
+"""Replay determinism of the simulation kernel on random programs.
 
-Two layers of evidence that the backends are interchangeable:
-
-1. **Property-based lockstep execution** — hypothesis generates random
-   kernel programs (schedule / schedule_at / cancel / run / step /
-   pop_until / peek, including reentrant scheduling from inside
-   handlers) and drives them through every registered backend
-   simultaneously, asserting identical observable traces: the executed
-   event stream, the clock, ``events_executed`` and ``pending`` after
-   every operation.  On a mismatch the failing program is written to
-   ``kernel-differential-failure.json`` (path overridable via
-   ``REPRO_DIFF_ARTIFACT``) so CI can upload it as an artifact and the
-   failure replays without hypothesis.
-
-2. **Full-study differential** — real simulations (two RMS designs,
-   inert and churny fault plans) must produce *bit-identical*
-   F/G/H metrics, attribution cells, and cache keys on every backend,
-   serially and through the parallel engine at ``jobs=1`` vs ``jobs=4``.
+Hypothesis generates random kernel programs (schedule / schedule_at /
+cancel / run / step / pop_until / peek, including reentrant scheduling
+from inside handlers) and runs each twice on fresh kernels, asserting
+identical observable traces: the executed event stream, the clock,
+``events_executed`` and ``pending`` after every operation.  That rules
+out hidden global state inside the kernel.
 """
 
 from __future__ import annotations
 
-import json
-import os
-from dataclasses import replace
-
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.experiments.cases import ScaleProfile, get_case
-from repro.experiments.parallel.cache import metrics_json_bytes
-from repro.experiments.parallel.engine import ExperimentEngine
-from repro.experiments.parallel.hashing import config_key
-from repro.experiments.runner import run_simulation
-from repro.faults import CrashEvent, FaultPlan
-from repro.sim.backend import backend_names, create_kernel
-from repro.sim.kernel import SimulationError
+from repro.sim.kernel import SimulationError, Simulator
 
-ARTIFACT_PATH = os.environ.get("REPRO_DIFF_ARTIFACT", "kernel-differential-failure.json")
-
-
-# ----------------------------------------------------------------------
-# layer 1: random kernel programs through all backends in lockstep
-# ----------------------------------------------------------------------
 
 # Delays are drawn from a small pool so same-timestamp ties are common —
 # tie-breaking is exactly where an ordering bug would hide.
@@ -64,9 +35,9 @@ _OP = st.one_of(
 PROGRAMS = st.lists(_OP, min_size=1, max_size=40)
 
 
-def run_program(backend: str, program) -> list:
-    """Execute ``program`` on ``backend``; return its observable trace."""
-    sim = create_kernel(backend)
+def run_program(program) -> list:
+    """Execute ``program`` on a fresh kernel; return its observable trace."""
+    sim = Simulator()
     trace: list = []
     handles: list = []
     tag_counter = [0]
@@ -120,117 +91,7 @@ def run_program(backend: str, program) -> list:
     return trace
 
 
-def _dump_artifact(program, traces) -> None:
-    payload = {
-        "program": [list(op) for op in program],
-        "traces": {name: [list(map(repr, step)) for step in trace] for name, trace in traces.items()},
-    }
-    with open(ARTIFACT_PATH, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-
-
-@settings(max_examples=80, deadline=None)
-@given(program=PROGRAMS)
-def test_backends_agree_on_random_programs(program):
-    names = backend_names()
-    traces = {name: run_program(name, program) for name in names}
-    reference = traces["reference"]
-    for name in names:
-        if traces[name] != reference:
-            _dump_artifact(program, traces)
-            pytest.fail(
-                f"backend {name!r} diverged from reference; "
-                f"program written to {ARTIFACT_PATH}"
-            )
-
-
 @settings(max_examples=20, deadline=None)
 @given(program=PROGRAMS)
-def test_replay_is_deterministic_per_backend(program):
-    # The same program run twice on the same backend must be identical —
-    # rules out hidden global state inside a backend.
-    for name in backend_names():
-        assert run_program(name, program) == run_program(name, program)
-
-
-# ----------------------------------------------------------------------
-# layer 2: full simulations bit-identical across backends and job counts
-# ----------------------------------------------------------------------
-
-TINY = ScaleProfile(
-    name="tiny-diff",
-    base_resources=8,
-    base_schedulers=4,
-    fixed_resources=8,
-    fixed_schedulers=4,
-    base_rate_per_resource=0.00028,
-    horizon=1500.0,
-    drain=750.0,
-    scales=(1, 2),
-    sa_iterations=3,
-)
-
-INERT_PLAN = None
-CHURN_PLAN = FaultPlan(
-    resource_mttf=400.0,
-    resource_mttr=60.0,
-    churn_fraction=0.5,
-    crashes=(CrashEvent(resource=1, at=300.0, duration=200.0),),
-    heartbeat_timeout=45.0,
-    heartbeat_interval=15.0,
-)
-
-
-def _configs(backend):
-    case = get_case(1)
-    return [
-        case.config_for(rms, k, TINY, seed=7, faults=faults, kernel_backend=backend)
-        for rms in ("CENTRAL", "LOWEST")
-        for k in TINY.scales
-        for faults in (INERT_PLAN, CHURN_PLAN)
-    ]
-
-
-class TestFullStudyDifferential:
-    def test_bit_identical_metrics_across_backends(self):
-        ref_cfgs = _configs("reference")
-        fast_cfgs = _configs("fast")
-        for ref_cfg, fast_cfg in zip(ref_cfgs, fast_cfgs):
-            ref = run_simulation(ref_cfg)
-            fast = run_simulation(fast_cfg)
-            assert metrics_json_bytes(ref) == metrics_json_bytes(fast), (
-                f"rms={ref_cfg.rms} n_resources={ref_cfg.n_resources} "
-                f"faults={'churn' if ref_cfg.faults else 'inert'}"
-            )
-            # the bytes cover F/G/H and attribution, but assert the
-            # headline numbers explicitly for a readable failure
-            assert (ref.record.F, ref.record.G, ref.record.H) == (
-                fast.record.F,
-                fast.record.G,
-                fast.record.H,
-            )
-            assert ref.attribution == fast.attribution
-
-    def test_cache_keys_identical_across_backends(self):
-        # The backend is provenance, not semantics: a cached result is
-        # valid for every backend, so keys must not depend on it.
-        for ref_cfg, fast_cfg in zip(_configs("reference"), _configs("fast")):
-            assert config_key(ref_cfg) == config_key(fast_cfg)
-            assert config_key(ref_cfg) == config_key(replace(ref_cfg, kernel_backend=None))
-
-    def test_parallel_engine_jobs_invariant_on_fast_backend(self):
-        # jobs=1 vs jobs=4 on the fast backend: worker processes must
-        # reproduce the serial result byte for byte.
-        cfgs = _configs("fast")
-        serial = ExperimentEngine(jobs=1, cache=None).run_many(cfgs)
-        parallel = ExperimentEngine(jobs=4, cache=None).run_many(cfgs)
-        assert [metrics_json_bytes(m) for m in serial] == [
-            metrics_json_bytes(m) for m in parallel
-        ]
-
-    def test_parallel_engine_backends_agree(self):
-        ref = ExperimentEngine(jobs=4, cache=None).run_many(_configs("reference"))
-        fast = ExperimentEngine(jobs=4, cache=None).run_many(_configs("fast"))
-        assert [metrics_json_bytes(m) for m in ref] == [
-            metrics_json_bytes(m) for m in fast
-        ]
+def test_replay_is_deterministic(program):
+    assert run_program(program) == run_program(program)

@@ -85,10 +85,8 @@ MODULES = PACKAGES + [
     "repro.rms.si",
     "repro.rms.superscheduler",
     "repro.rms.syi",
-    "repro.sim.backend",
     "repro.sim.entity",
     "repro.sim.events",
-    "repro.sim.fastkernel",
     "repro.sim.kernel",
     "repro.sim.monitor",
     "repro.sim.rng",

@@ -113,7 +113,6 @@ class TestDigest:
             base.replace(cache_dir="/tmp/elsewhere"),
             base.replace(no_cache=True),
             base.replace(resume=True),
-            base.replace(kernel_backend="array"),
             base.replace(precision=6),
         ]
         for variant in variants:
