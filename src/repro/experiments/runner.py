@@ -215,7 +215,7 @@ def build_system(config: SimulationConfig) -> System:
     )
     router = Router(topo)
     if gm.scheduler_tables is not None:
-        # Donate the mapper's per-scheduler Dijkstra tables: scheduler
+        # Donate the mapper's per-scheduler shortest-path tables: scheduler
         # (and co-located estimator) sites originate nearly all routed
         # traffic, so the router never recomputes its hottest sources.
         for node, table in zip(gm.scheduler_nodes, gm.scheduler_tables):
@@ -224,8 +224,9 @@ def build_system(config: SimulationConfig) -> System:
     if fluid_mode:
         # At 1e5-scale pools nearly every resource node sends at least
         # one routed message (job completions), and a per-source
-        # Dijkstra each would dwarf the run itself.  Latency-symmetric
-        # reverse lookup reuses the schedulers' cached tables.
+        # shortest-path table each would dwarf the run itself.  Reverse
+        # lookup reuses the schedulers' cached tables, equal to the
+        # forward path up to the last bit (see ``Router.symmetric``).
         router.symmetric = True
     plan = config.faults
     network = Network(

@@ -161,11 +161,13 @@ class FluidStatusPlane:
             src = resources[rid].node
             dst = estimators[self._est_of[rid]].node
             if src != dst:
-                # Query estimator -> resource: transit is symmetric on
-                # the undirected topology, and estimator sites are
-                # scheduler sites whose routing tables the builder
+                # Query estimator -> resource: the undirected topology
+                # makes the reverse transit equal up to the last bit
+                # (its sums fold in the opposite order), an
+                # approximation fluid mode accepts.  Estimator sites
+                # are scheduler sites whose routing tables the builder
                 # primes from the grid mapper — so this precompute is
-                # pure cache hits instead of O(k) Dijkstra passes.
+                # pure cache hits instead of O(k) shortest-path tables.
                 latency, _, factor = router.path_info(dst, src)
                 self._transit[rid] = scale * (latency + size * factor)
         self._busy_until = [-math.inf] * m

@@ -37,19 +37,22 @@ class Router:
         self.topology = topo
         self._cache: Dict[int, List[PathInfo]] = {}
         #: When set, an uncached source may be priced from the
-        #: destination's cached table instead of running its own
-        #: Dijkstra.  The topology is undirected, so shortest-path
-        #: *latency* and *transmission factor* are symmetric; only the
-        #: hop count of tie-broken equal-latency paths can differ.
-        #: Fluid-mode builders enable this: at 1e5-scale pools the
-        #: resource→scheduler completion sends would otherwise trigger
-        #: one full Dijkstra per resource node.
+        #: destination's cached table instead of computing its own.
+        #: The topology is undirected, so the reverse path has the same
+        #: links, but its latency and transmission-factor sums are
+        #: added in the opposite order and can differ in the last bit
+        #: (about a third of pairs on a 576-node generated topology);
+        #: the hop count can differ between tie-broken equal-latency
+        #: paths.  Fluid-mode builders accept that ulp-level
+        #: approximation: at 1e5-scale pools the resource→scheduler
+        #: completion sends would otherwise trigger one full
+        #: shortest-path table per resource node.
         self.symmetric = False
 
     def prime(self, src: int, table: List[PathInfo]) -> None:
         """Seed the cache with a precomputed ``single_source`` table.
 
-        The grid mapper already runs one Dijkstra per scheduler site
+        The grid mapper already computes one table per scheduler site
         for cluster assignment; donating those tables here means the
         hottest sources (schedulers and their co-located estimators)
         never pay a second shortest-path sweep.  The table must be the

@@ -6,19 +6,23 @@ units per time unit), matching the paper's assumption that "network links
 have finite bandwidth and non-zero latencies".
 
 The structure is deliberately minimal — adjacency dictionaries keyed by
-node id — because the routing layer (Dijkstra) and the generator are the
-only consumers.  A :meth:`to_networkx` view exists for tests, which
+node id — because the routing layer and the generator are the only
+consumers.  The shortest-path kernel reads the links through
+:meth:`Topology.in_edges`, a cached array view built from the
+dictionaries.  A :meth:`to_networkx` view exists for tests, which
 cross-check our shortest paths against ``networkx``.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 import networkx as nx
+import numpy as np
 
-__all__ = ["Link", "Topology"]
+__all__ = ["InEdges", "Link", "Topology"]
 
 
 @dataclass(frozen=True)
@@ -43,6 +47,25 @@ class Link:
     bandwidth: float
 
 
+class InEdges(NamedTuple):
+    """Array view of a :class:`Topology`'s edges, grouped by destination.
+
+    One entry per *directed* edge, so every undirected link appears
+    twice.  Entries are grouped by destination node in ascending order
+    (compressed-sparse-row order); nodes without links have none.  Node
+    ids are int32 to keep the view compact.
+    """
+
+    #: source node of each edge
+    src: np.ndarray
+    #: destination node of each edge
+    dst: np.ndarray
+    #: link latency of each edge
+    latency: np.ndarray
+    #: ``1 / bandwidth`` of each edge's link
+    inv_bandwidth: np.ndarray
+
+
 class Topology:
     """An undirected router graph with latency/bandwidth-annotated links.
 
@@ -60,6 +83,7 @@ class Topology:
         self._n_links = 0
         #: optional (x, y) coordinates per node, filled by the generator
         self.coords: Optional[List[Tuple[float, float]]] = None
+        self._in_edges: Optional[InEdges] = None
 
     # ------------------------------------------------------------------
     @property
@@ -95,6 +119,7 @@ class Topology:
             self._n_links += 1
         self._adj[u][v] = link
         self._adj[v][u] = link
+        self._in_edges = None
         return link
 
     def has_link(self, u: int, v: int) -> bool:
@@ -119,6 +144,23 @@ class Topology:
             for v, link in self._adj[u].items():
                 if u < v:
                     yield link
+
+    def in_edges(self) -> InEdges:
+        """The :class:`InEdges` array view, built on first use and cached
+        until the next :meth:`add_link`."""
+        view = self._in_edges
+        if view is None:
+            n = self._n
+            deg = np.fromiter(map(len, self._adj), dtype=np.int64, count=n)
+            m = int(deg.sum())
+            links = list(itertools.chain.from_iterable(a.values() for a in self._adj))
+            view = self._in_edges = InEdges(
+                src=np.fromiter(itertools.chain.from_iterable(self._adj), np.int32, m),
+                dst=np.repeat(np.arange(n, dtype=np.int32), deg),
+                latency=np.fromiter((k.latency for k in links), float, m),
+                inv_bandwidth=np.fromiter((1.0 / k.bandwidth for k in links), float, m),
+            )
+        return view
 
     # ------------------------------------------------------------------
     def is_connected(self) -> bool:

@@ -16,8 +16,9 @@ into a :class:`GridMap`:
   Fig. 4 caption).  With one estimator per scheduler the estimator is
   co-located with its scheduler — the base configuration.
 * **Resource sites** are the remaining routers; every resource joins the
-  cluster of its nearest scheduler (multi-source Dijkstra by latency),
-  yielding the non-overlapping clustering.
+  cluster of its nearest scheduler with room left (latencies from one
+  shortest-path table per scheduler site, clusters capped at an even
+  share), yielding the non-overlapping clustering.
 * Resources are assigned to estimators round-robin **within their
   cluster ordering**, so estimator coverage respects locality.
 
@@ -30,12 +31,13 @@ at the site level, not the router level).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Dict, List, Optional
 
 import numpy as np
 
 from .graph import Topology
-from .paths import PathInfo, multi_source_nearest
+from .paths import PathInfo
 
 __all__ = ["GridMap", "map_grid"]
 
@@ -69,7 +71,7 @@ class GridMap:
         order.  The builder donates them to the
         :class:`~repro.network.routing.Router` cache — scheduler (and
         co-located estimator) sites originate nearly all routed
-        traffic, so reusing the mapper's Dijkstra passes means the hot
+        traffic, so reusing the mapper's shortest-path tables means the hot
         sources never pay a second shortest-path sweep.
     """
 
@@ -188,7 +190,7 @@ def map_grid(
     # per-resource Python sorts alone used to dominate build time.
     res_idx = np.asarray(resource_nodes, dtype=np.intp)
     lat = np.stack(
-        [np.asarray(t, dtype=float)[res_idx, 0] for t in sched_tables]
+        [np.fromiter(map(itemgetter(0), t), float, n)[res_idx] for t in sched_tables]
     )
     prefs_of = np.argsort(lat, axis=0, kind="stable")
     nearest = lat[prefs_of[0], np.arange(n_resources)]

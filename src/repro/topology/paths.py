@@ -17,6 +17,8 @@ import heapq
 import math
 from typing import Iterable, List, Tuple
 
+import numpy as np
+
 from .graph import Topology
 
 __all__ = ["single_source", "multi_source_nearest", "PathInfo"]
@@ -26,7 +28,7 @@ PathInfo = Tuple[float, int, float]
 
 
 def single_source(topo: Topology, source: int) -> List[PathInfo]:
-    """Dijkstra from ``source`` minimizing latency.
+    """Latency-shortest paths from ``source`` to every node.
 
     Returns
     -------
@@ -35,28 +37,91 @@ def single_source(topo: Topology, source: int) -> List[PathInfo]:
         along the latency-shortest path from ``source`` to ``v``.
         Unreachable nodes (cannot happen for generated topologies, which
         are connected) get ``(inf, -1, inf)``.
+
+    The table is exactly the one a heap Dijkstra produces that relaxes
+    an edge only on a strict improvement, computed on the arrays of
+    :meth:`Topology.in_edges` instead of edge by edge:
+
+    1. *Latency.*  Every node repeatedly takes the minimum of
+       ``latency[u] + link`` over its in-edges until nothing changes.
+       Float addition is monotone, so the fixpoint is the same minimum
+       over left-to-right path sums that the heap settles, bit for bit.
+    2. *Predecessor.*  Among the in-edges that attain a node's latency,
+       the one from the smallest ``(latency[u], u)``: the heap settles
+       nodes in that order and keeps the first edge that reaches the
+       minimum.
+    3. *Hops and transmission factor.*  Hops count predecessor links
+       (pointer jumping); the factor is folded outward from the source
+       one hop level at a time as ``factor[pred] + 1 / bandwidth``, the
+       heap's order of additions.
+
+    This assumes no link latency vanishes when added to a path latency
+    (``d + latency > d``), as holds for positive latencies of comparable
+    magnitude.
+
+    Raises
+    ------
+    ValueError
+        If ``source`` is not a node of ``topo``, or a node is reached
+        only through links whose latency vanishes in the path sum.
     """
     n = topo.n_nodes
-    dist = [math.inf] * n
-    hops = [-1] * n
-    txf = [math.inf] * n
+    if not 0 <= source < n:
+        raise ValueError(f"source {source} out of range")
+    edges = topo.in_edges()
+    src, dst, lat = edges.src, edges.dst, edges.latency
+    dist = np.full(n, math.inf)
     dist[source] = 0.0
-    hops[source] = 0
+    while True:
+        relaxed = dist.copy()
+        np.minimum.at(relaxed, dst, dist[src] + lat)
+        if not (relaxed < dist).any():
+            break
+        dist = relaxed
+
+    # The heap keeps the first edge that attains a node's latency, and
+    # it relaxes edges in (latency[u], u) order: of the tight edges into
+    # each reached node, keep the lowest latency[u], then the lowest u.
+    via = dist[src]
+    reached = dist[dst]
+    tight = np.flatnonzero((via + lat == reached) & (via < reached))
+    to, frm, via = dst[tight], src[tight], via[tight]
+    low = np.full(n, math.inf)
+    np.minimum.at(low, to, via)
+    keep = via == low[to]
+    tight, to, frm = tight[keep], to[keep], frm[keep]
+    first = np.full(n, n, dtype=frm.dtype)
+    np.minimum.at(first, to, frm)
+    keep = frm == first[to]
+    edge, node = tight[keep], to[keep]
+    if node.size != np.count_nonzero(dist < math.inf) - 1:
+        raise ValueError("a link latency vanishes against a path latency")
+
+    pred = np.arange(n)
+    pred[node] = frm[keep]
+    # hops[v] counts the links from v up to up[v]; doubling every
+    # pointer each round reaches the source in log2(depth) rounds.
+    hops = np.zeros(n, dtype=np.int64)
+    hops[node] = 1
+    up = pred
+    while True:
+        step = hops[up]
+        if not step.any():
+            break
+        hops += step
+        up = up[up]
+
+    # One hop level at a time, so each factor extends a finished one.
+    txf = np.full(n, math.inf)
     txf[source] = 0.0
-    heap: List[Tuple[float, int]] = [(0.0, source)]
-    while heap:
-        d, u = heapq.heappop(heap)
-        if d > dist[u]:
-            continue  # stale entry
-        for v in topo.neighbors(u):
-            link = topo.link(u, v)
-            nd = d + link.latency
-            if nd < dist[v]:
-                dist[v] = nd
-                hops[v] = hops[u] + 1
-                txf[v] = txf[u] + 1.0 / link.bandwidth
-                heapq.heappush(heap, (nd, v))
-    return list(zip(dist, hops, txf))
+    order = np.argsort(hops[node], kind="stable")
+    node, weight = node[order], edges.inv_bandwidth[edge[order]]
+    bounds = np.cumsum(np.bincount(hops[node]))
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        level = node[lo:hi]
+        txf[level] = txf[pred[level]] + weight[lo:hi]
+    hops[dist == math.inf] = -1
+    return list(zip(dist.tolist(), hops.tolist(), txf.tolist()))
 
 
 def multi_source_nearest(

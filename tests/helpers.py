@@ -4,21 +4,63 @@ Experiments use :mod:`repro.experiments.runner` to build full systems;
 these helpers build *tiny*, fully inspectable ones (a couple of
 schedulers, a handful of resources on a trivial topology) so protocol
 tests can assert on individual messages and state transitions.
+
+:func:`reference_single_source` is the heap Dijkstra that the array
+shortest-path kernel must match bit for bit.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
+import math
+from typing import List, Tuple
 
 from repro.core import CostLedger
 from repro.grid import CostModel, Estimator, Middleware, Resource, SchedulerBase, StatusTable
 from repro.network import Network, Router
 from repro.sim import RngHub, Simulator
 from repro.topology import Topology
+from repro.topology.paths import PathInfo
 from repro.workload import JobClass, JobSpec
 from repro.grid.jobs import Job
 
 _ids = itertools.count()
+
+
+def reference_single_source(topo: Topology, source: int) -> List[PathInfo]:
+    """Heap Dijkstra from ``source`` minimizing latency: the oracle that
+    :func:`repro.topology.paths.single_source` must reproduce exactly.
+
+    Returns
+    -------
+    list[PathInfo]
+        For every node ``v``: ``(latency, hops, transmission_factor)``
+        along the latency-shortest path from ``source`` to ``v``.
+        Unreachable nodes (cannot happen for generated topologies, which
+        are connected) get ``(inf, -1, inf)``.
+    """
+    n = topo.n_nodes
+    dist = [math.inf] * n
+    hops = [-1] * n
+    txf = [math.inf] * n
+    dist[source] = 0.0
+    hops[source] = 0
+    txf[source] = 0.0
+    heap: List[Tuple[float, int]] = [(0.0, source)]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if d > dist[u]:
+            continue  # stale entry
+        for v in topo.neighbors(u):
+            link = topo.link(u, v)
+            nd = d + link.latency
+            if nd < dist[v]:
+                dist[v] = nd
+                hops[v] = hops[u] + 1
+                txf[v] = txf[u] + 1.0 / link.bandwidth
+                heapq.heappush(heap, (nd, v))
+    return list(zip(dist, hops, txf))
 
 
 def make_spec(

@@ -88,3 +88,24 @@ class TestConnectivity:
         assert g.number_of_edges() == 3
         assert g[0][1]["latency"] == 1.0
         assert g[1][2]["bandwidth"] == 20.0
+
+
+class TestInEdges:
+    def test_each_link_both_ways_grouped_by_destination(self):
+        t = Topology(4)  # node 3 has no links
+        t.add_link(0, 1, 1.0, 2.0)
+        t.add_link(1, 2, 3.0, 4.0)
+        e = t.in_edges()
+        assert e.dst.tolist() == [0, 1, 1, 2]
+        assert sorted(zip(e.dst.tolist(), e.src.tolist(), e.latency.tolist(),
+                          e.inv_bandwidth.tolist())) == [
+            (0, 1, 1.0, 0.5), (1, 0, 1.0, 0.5), (1, 2, 3.0, 0.25), (2, 1, 3.0, 0.25),
+        ]
+
+    def test_cached_until_add_link(self):
+        t = triangle()
+        e = t.in_edges()
+        assert t.in_edges() is e
+        t.add_link(0, 1, 5.0, 10.0)
+        assert t.in_edges() is not e
+        assert t.in_edges().latency.tolist().count(5.0) == 2

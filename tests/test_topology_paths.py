@@ -1,4 +1,5 @@
-"""Tests for shortest-path algorithms, cross-checked against networkx."""
+"""Tests for shortest-path algorithms, cross-checked against networkx and,
+bit for bit, against the heap Dijkstra in :mod:`tests.helpers`."""
 
 import math
 
@@ -15,6 +16,12 @@ from repro.topology import (
     multi_source_nearest,
     single_source,
 )
+
+from .helpers import reference_single_source
+
+#: few distinct values, so equal-latency routes (ties) are common
+TIE_LATENCIES = (0.25, 0.5, 1.0, 2.0, 3.0)
+TIE_BANDWIDTHS = (1.0, 2.0, 4.0, 10.0)
 
 
 def line(n=4):
@@ -69,6 +76,109 @@ class TestSingleSource:
         ours = single_source(topo, 0)
         for v in range(n):
             assert ours[v][0] == pytest.approx(ref[v])
+
+
+    def test_out_of_range_source_rejected(self):
+        # A negative source must not wrap around to node n - 1.
+        with pytest.raises(ValueError):
+            single_source(line(3), -1)
+        with pytest.raises(ValueError):
+            single_source(line(3), 3)
+
+    def test_vanishing_latency_rejected(self):
+        # 1e20 + 1.0 == 1e20: node 2 has no strictly closer neighbour,
+        # so its predecessor is undefined.
+        t = Topology(3)
+        t.add_link(0, 1, 1e20, 1.0)
+        t.add_link(1, 2, 1.0, 1.0)
+        with pytest.raises(ValueError):
+            single_source(t, 0)
+
+    def test_add_link_invalidates_cached_edges(self):
+        topo = line(4)
+        assert single_source(topo, 0)[3] == (6.0, 3, 1 / 10 + 1 / 20 + 1 / 30)
+        topo.add_link(0, 3, 0.5, 4.0)
+        assert single_source(topo, 0)[3] == (0.5, 1, 0.25)
+
+
+def diamond(first, second):
+    """Source 0 and sink 9 joined by two node-disjoint routes of equal
+    total latency.  Each route is a list of ``(node, latency,
+    bandwidth)`` hops from the source."""
+    t = Topology(10)
+    for route in (first, second):
+        prev = 0
+        for node, latency, bandwidth in route:
+            t.add_link(prev, node, latency, bandwidth)
+            prev = node
+    return t
+
+
+class TestTieBreaking:
+    """Of two equal-latency routes, the one whose last relay has the
+    lowest ``(latency, node id)`` wins — the heap's settle order."""
+
+    def test_lower_relay_id_wins_equal_relay_latency(self):
+        # Relays 1 and 3 both sit at latency 1.0; node 1 wins the tie.
+        topo = diamond(
+            [(1, 1.0, 10.0), (9, 2.0, 10.0)],
+            [(2, 0.5, 1.0), (3, 0.5, 1.0), (9, 2.0, 1.0)],
+        )
+        expected = (3.0, 2, 0.1 + 0.1)
+        assert single_source(topo, 0)[9] == expected
+        assert reference_single_source(topo, 0)[9] == expected
+
+    def test_lower_relay_latency_wins_over_lower_id(self):
+        # Relay 3 (latency 1.0) beats relay 2 (latency 1.5).
+        topo = diamond(
+            [(3, 1.0, 1.0), (9, 2.0, 1.0)],
+            [(1, 0.5, 10.0), (2, 1.0, 10.0), (9, 1.5, 10.0)],
+        )
+        expected = (3.0, 2, 2.0)
+        assert single_source(topo, 0)[9] == expected
+        assert reference_single_source(topo, 0)[9] == expected
+
+
+@st.composite
+def tie_heavy_topologies(draw):
+    """Random graphs over few latency and bandwidth values, with
+    isolated nodes appended and often disconnected components."""
+    n = draw(st.integers(min_value=1, max_value=24))
+    isolated = draw(st.integers(min_value=0, max_value=2))
+    topo = Topology(n + isolated)
+    node = st.integers(min_value=0, max_value=n - 1)
+    links = draw(st.lists(
+        st.tuples(node, node, st.sampled_from(TIE_LATENCIES),
+                  st.sampled_from(TIE_BANDWIDTHS)),
+        max_size=3 * n,
+    ))
+    for u, v, latency, bandwidth in links:
+        if u != v:
+            topo.add_link(u, v, latency, bandwidth)
+    return topo
+
+
+class TestMatchesHeapDijkstra:
+    """``single_source`` reproduces the heap Dijkstra's tables exactly:
+    same floats to the last bit, same hop counts."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(topo=tie_heavy_topologies())
+    def test_tie_heavy_random_graphs(self, topo):
+        for source in range(topo.n_nodes):
+            assert single_source(topo, source) == reference_single_source(topo, source)
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        n=st.integers(min_value=2, max_value=600),
+        seed=st.integers(min_value=0, max_value=10_000),
+    )
+    def test_generated_topologies(self, n, seed):
+        topo = generate_topology(
+            TopologyParams(n_nodes=n), RngHub(seed).stream("topology")
+        )
+        for source in range(n):
+            assert single_source(topo, source) == reference_single_source(topo, source)
 
 
 class TestMultiSource:
