@@ -10,17 +10,16 @@ would — per ``(component, entity, message-class)``:
 
 * **change-driven status updates** are *exact*: resources call
   :meth:`on_load_change` (O(1), no event) on every load transition; at
-  each flush the plane resolves the dirty set against the discrete
+  each flush the plane resolves the dirty flags against the discrete
   suppression model (at most one update per resource per
   ``update_interval``, suppressed while the load is unchanged) and
   charges ``estimator_proc`` per modeled update against the covering
   estimator under the ``status_update`` message class;
 * **keepalives** are *exact, without events*: the discrete keepalive
   chain is deterministic (fire at ``last_sent + 3 tau``, re-anchoring
-  on every real send), so the plane keeps a flush-indexed bucket queue
-  of due times — O(1) amortized per keepalive occurrence, zero kernel
-  events — and replays the same send instants quantized to the flush
-  grid;
+  on every real send), so the plane keeps one due column — the flush
+  index of each resource's live chain — and replays the same send
+  instants quantized to the flush grid, zero kernel events;
 * **status forwards** (change-driven and keepalive alike) are applied
   to the schedulers *synchronously* via
   :meth:`~repro.grid.scheduler.SchedulerBase.fluid_status` — identical
@@ -55,13 +54,20 @@ see slightly fresher state.  The per-resource report *phases* drawn
 by the builder (identically in both modes) anchor each resource's
 keepalive chain, so the fluid keepalive instants stagger exactly like
 the discrete ones instead of synchronizing on the flush grid.
+
+Per-resource state lives in numpy columns (load, baseline, last send,
+failure, first-report and dirty flags, keepalive due index), so a flush
+resolves keepalives and dirty marks with array operations; only the
+batcher replay, a float fold whose bits decide where batches close,
+and the forwards to the schedulers stay sequential.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 from ..core.ledger import Category
 from ..network.messages import DEFAULT_SIZES, Message, MessageKind
@@ -69,6 +75,9 @@ from .plan import FluidPlan
 from .tree import AggregatorTree
 
 __all__ = ["FluidStatusPlane"]
+
+#: keepalive due index of a resource with no live chain
+_NEVER = np.iinfo(np.int64).max
 
 
 class FluidStatusPlane:
@@ -109,34 +118,36 @@ class FluidStatusPlane:
 
         n = len(resources)
         m = len(estimators)
-        self._est_of = [grid_map.estimator_of_resource[r] for r in range(n)]
-        self._cluster_of = [grid_map.cluster_of_resource[r] for r in range(n)]
-        self._cur_load = [0] * n
-        self._last_load: List[Optional[int]] = [None] * n
-        self._last_sent = [-math.inf] * n
-        self._failed = [False] * n
+        self._est_of = np.asarray(grid_map.estimator_of_resource[:n], dtype=np.int64)
+        self._cluster_of = np.asarray(grid_map.cluster_of_resource[:n], dtype=np.int64)
+        self._cur_load = np.zeros(n, dtype=np.int64)
+        #: load of the last send; meaningful only where ``_has_baseline``
+        self._last_load = np.zeros(n, dtype=np.int64)
+        self._has_baseline = np.zeros(n, dtype=bool)
+        self._last_sent = np.full(n, -math.inf)
+        self._failed = np.zeros(n, dtype=bool)
         #: per-resource first-report instants — the same phase draws the
         #: discrete builder staggers reports with, so the keepalive
         #: chains anchor at identical times in both modes
         self._phase = (
-            [float(p) for p in phases] if phases is not None else [0.0] * n
+            np.asarray(phases, dtype=float) if phases is not None else np.zeros(n)
         )
-        self._reported_once = [False] * n
+        #: a fresh send's dither inside the elapsed flush window
+        self._phase_offset = self._phase % window
+        self._reported_once = np.zeros(n, dtype=bool)
         # Every resource starts dirty with no baseline, so the first
         # flush emits the same initial load-0 report wave a discrete
         # run sends during its first update interval.
-        self._dirty: List[Set[int]] = [set() for _ in range(m)]
-        for rid in range(n):
-            self._dirty[self._est_of[rid]].add(rid)
+        self._dirty = np.ones(n, dtype=bool)
         #: live total of all resource loads (O(1) probe tap)
         self.total_load = 0
-        # Keepalive bucket queue: flush-index -> [(rid, anchor)].  The
-        # discrete chain fires at last_send + 3*tau, re-anchoring on
-        # every send; entries whose anchor no longer matches the
-        # resource's last send are stale and dropped at pop time, so
-        # each occurrence costs O(1) with no kernel event.
-        self._ka_buckets: Dict[int, List[Tuple[int, float]]] = {}
-        self._ka_keys: List[int] = []  # min-heap of bucket indices
+        # Keepalive due column: the flush index at which each resource's
+        # live chain fires (``_NEVER`` when it has none).  The discrete
+        # chain fires at last_send + 3*tau and re-anchors on every send,
+        # so the live chain's anchor is always ``_last_sent``; a send
+        # overwrites the due index, and a repair, a reboot or a failed
+        # resource reaching its due index clears it.
+        self._ka_due = np.full(n, _NEVER, dtype=np.int64)
         self._flush_index = 0
         # Discrete-batcher emulation (flat routing): per-estimator open
         # batch — pending entries per cluster and the arrival-aligned
@@ -156,10 +167,10 @@ class FluidStatusPlane:
         size = DEFAULT_SIZES.get(MessageKind.STATUS_UPDATE, 1.0)
         router = network.router
         scale = network.delay_scale
-        self._transit = [0.0] * n
+        transit = [0.0] * n
         for rid in range(n):
             src = resources[rid].node
-            dst = estimators[self._est_of[rid]].node
+            dst = estimators[grid_map.estimator_of_resource[rid]].node
             if src != dst:
                 # Query estimator -> resource: the undirected topology
                 # makes the reverse transit equal up to the last bit
@@ -169,7 +180,8 @@ class FluidStatusPlane:
                 # primes from the grid mapper — so this precompute is
                 # pure cache hits instead of O(k) shortest-path tables.
                 latency, _, factor = router.path_info(dst, src)
-                self._transit[rid] = scale * (latency + size * factor)
+                transit[rid] = scale * (latency + size * factor)
+        self._transit = np.asarray(transit, dtype=float)
         self._busy_until = [-math.inf] * m
         self._src_update = [
             ("estimator", est.name, str(MessageKind.STATUS_UPDATE))
@@ -211,12 +223,12 @@ class FluidStatusPlane:
     # Hooks (called synchronously by resources — no kernel events)
     # ------------------------------------------------------------------
     def on_load_change(self, resource) -> None:
-        """A resource's load transitioned: O(1) dirty-set bookkeeping."""
+        """A resource's load transitioned: O(1) dirty-flag bookkeeping."""
         rid = resource.resource_id
         load = resource.load
-        self.total_load += load - self._cur_load[rid]
+        self.total_load += load - int(self._cur_load[rid])
         self._cur_load[rid] = load
-        self._dirty[self._est_of[rid]].add(rid)
+        self._dirty[rid] = True
 
     def on_fail(self, resource) -> None:
         """A resource crashed: it goes silent and leaves every rate.
@@ -227,7 +239,7 @@ class FluidStatusPlane:
         take to notice).
         """
         rid = resource.resource_id
-        self.total_load -= self._cur_load[rid]
+        self.total_load -= int(self._cur_load[rid])
         self._cur_load[rid] = 0
         self._failed[rid] = True
         if self._watch_timeout is not None and rid in self._watch_cluster:
@@ -239,18 +251,23 @@ class FluidStatusPlane:
     def on_repair(self, resource) -> None:
         """A resource recovered: rates re-derive and it re-announces.
 
-        The forced (baseline-free) entry in the dirty set makes the
-        next flush emit an unconditional report — the fluid analogue of
-        the discrete first post-repair report that revives aged-out
-        status-table entries.
+        The forced (baseline-free) dirty mark makes the next flush emit
+        an unconditional report — the fluid analogue of the discrete
+        first post-repair report that revives aged-out status-table
+        entries.
         """
         rid = resource.resource_id
         self._failed[rid] = False
-        self.total_load += resource.load - self._cur_load[rid]
+        self.total_load += resource.load - int(self._cur_load[rid])
         self._cur_load[rid] = resource.load
-        self._last_load[rid] = None
+        self._reannounce(rid)
+
+    def _reannounce(self, rid: int) -> None:
+        """Drop the baseline and the keepalive chain; report next flush."""
+        self._has_baseline[rid] = False
         self._last_sent[rid] = -math.inf
-        self._dirty[self._est_of[rid]].add(rid)
+        self._ka_due[rid] = _NEVER
+        self._dirty[rid] = True
 
     # ------------------------------------------------------------------
     # Liveness watch
@@ -275,8 +292,7 @@ class FluidStatusPlane:
         if self._crash_seq.get(rid) != seq:
             return  # superseded by a newer crash/repair cycle
         self._pending_crash.pop(rid, None)
-        e = self._est_of[rid]
-        est = self.estimators[e]
+        est = self.estimators[int(self._est_of[rid])]
         cluster = self._watch_cluster[rid]
         est.dead_reported += 1
         self.declared_dead += 1
@@ -295,9 +311,7 @@ class FluidStatusPlane:
             # detector's incarnation jump: the declaration still lands
             # (the jobs are gone) and the next flush re-announces
             # liveness, reviving the table entry.
-            self._last_load[rid] = None
-            self._last_sent[rid] = -math.inf
-            self._dirty[e].add(rid)
+            self._reannounce(rid)
 
     # ------------------------------------------------------------------
     # The flush: one event for the whole plane
@@ -306,106 +320,108 @@ class FluidStatusPlane:
         """Schedule the periodic flush (self-rescheduling)."""
         self._flush_event = self.sim.schedule(self.flush_interval, self._flush)
 
-    def _push_keepalive(self, rid: int, anchor: float) -> None:
-        """Arm the keepalive chain: due at ``anchor + 3 tau``.
+    def _send(self, rids: np.ndarray, sent: np.ndarray) -> None:
+        """Record modeled sends of ``rids`` at the exact instants ``sent``.
 
-        ``anchor`` is the exact send instant (discrete semantics), not
-        the quantized flush time, so chains never drift off the
-        discrete stagger.  Stale entries (a newer send re-anchored the
-        chain) are dropped lazily at pop time.
+        A send re-baselines the load, satisfies any pending dirty mark
+        and re-anchors the keepalive chain, due at ``sent + 3 tau``.
+        ``sent`` is the exact send instant (discrete semantics), not the
+        quantized flush time, so chains never drift off the discrete
+        stagger.
         """
-        due = anchor + self.keepalive_span
-        idx = int(math.ceil(due / self.flush_interval - 1e-9))
-        bucket = self._ka_buckets.get(idx)
-        if bucket is None:
-            bucket = self._ka_buckets[idx] = []
-            heapq.heappush(self._ka_keys, idx)
-        bucket.append((rid, anchor))
+        self._last_load[rids] = self._cur_load[rids]
+        self._has_baseline[rids] = True
+        self._last_sent[rids] = sent
+        due = sent + self.keepalive_span
+        self._ka_due[rids] = np.ceil(due / self.flush_interval - 1e-9).astype(np.int64)
+        self._dirty[rids] = False
 
     def _flush(self) -> None:
         self.flushes += 1
         self._flush_index += 1
+        flush_index = self._flush_index
         now = self.sim.now
         tau = self.update_interval
         window = self.flush_interval
         n_est = len(self.estimators)
-        # Per-estimator modeled update emissions this flush, with the
-        # *exact* send instant each one would carry in discrete mode —
-        # keepalive fire times and rate-limit clearances are known
-        # exactly; fresh load changes are only known to lie inside the
-        # elapsed flush window and anchor at its start.
-        emissions: List[List[Tuple[float, int, int]]] = [[] for _ in range(n_est)]
+        # The modeled update emissions of this flush: resource ids and
+        # the *exact* send instant each one would carry in discrete
+        # mode — keepalive fire times and rate-limit clearances are
+        # known exactly; fresh load changes are only known to lie
+        # inside the elapsed flush window and anchor at its start.
+        sent_rids: List[np.ndarray] = []
+        sent_at: List[np.ndarray] = []
 
         # 1. Keepalives due by now: exact replay of the discrete chain.
         # A keepalive is an unconditional refresh (it re-baselines the
-        # load), so it also satisfies any pending dirty mark.
-        while self._ka_keys and self._ka_keys[0] <= self._flush_index:
-            idx = heapq.heappop(self._ka_keys)
-            for rid, anchor in self._ka_buckets.pop(idx, ()):
-                if self._last_sent[rid] != anchor:
-                    continue  # re-anchored by a newer send
-                if self._failed[rid]:
-                    continue  # crashed mid-silence: chain dies until repair
-                load = self._cur_load[rid]
-                fire = anchor + self.keepalive_span
-                self._last_load[rid] = load
-                self._last_sent[rid] = fire
-                self._push_keepalive(rid, fire)
-                e = self._est_of[rid]
-                self._dirty[e].discard(rid)
-                emissions[e].append((fire, rid, load))
-                self.modeled_keepalives += 1
+        # load), so it also satisfies any pending dirty mark.  A flush
+        # wider than 3 tau can fire one chain more than once.
+        due = np.flatnonzero(self._ka_due <= flush_index)
+        while due.size:
+            crashed = self._failed[due]
+            if crashed.any():
+                # crashed mid-silence: the chain dies until repair
+                self._ka_due[due[crashed]] = _NEVER
+                due = due[~crashed]
+            fire = self._last_sent[due] + self.keepalive_span
+            self._send(due, fire)
+            sent_rids.append(due)
+            sent_at.append(fire)
+            self.modeled_keepalives += int(due.size)
+            due = due[self._ka_due[due] <= flush_index]
 
-        # 2. Change-driven updates: the dirty sets resolved against the
+        # 2. Change-driven updates: the dirty flags resolved against the
         # suppression model (exact counts — suppression and the one-per-
         # tau rate limit mirror Resource.start_reporting).
-        for e, dirty in enumerate(self._dirty):
-            if not dirty:
-                continue
-            deferred: List[int] = []
-            for rid in sorted(dirty):
-                if self._failed[rid]:
-                    continue  # crashed: silent, drops out entirely
-                load = self._cur_load[rid]
-                last = self._last_load[rid]
-                if last is not None and load == last:
-                    continue  # suppressed: no significant change
-                if now - self._last_sent[rid] < tau - 1e-9:
-                    deferred.append(rid)  # rate-limited, stays pending
-                    continue
-                if not self._reported_once[rid]:
-                    # First report ever: anchor at the drawn phase, the
-                    # instant the discrete initial report goes out.
-                    # (Post-repair re-announcements anchor at the flush:
-                    # discrete restarts reporting with zero phase.)
-                    self._reported_once[rid] = True
-                    sent = self._phase[rid]
-                else:
-                    # A rid deferred by the rate limit sends the moment
-                    # the limit clears (last_sent + tau, exact); a fresh
-                    # change sent somewhere inside the elapsed window.
-                    # Fresh sends are dithered by the resource's report
-                    # phase instead of snapping to the flush grid:
-                    # grid-aligned anchors would synchronize every
-                    # keepalive chain they re-anchor, over-merging
-                    # later bursts into too few forwards.
-                    lim = self._last_sent[rid] + tau
-                    if lim > now - window:
-                        sent = lim
-                    else:
-                        sent = now - window + (self._phase[rid] % window)
-                self._last_load[rid] = load
-                self._last_sent[rid] = sent
-                self._push_keepalive(rid, sent)
-                emissions[e].append((sent, rid, load))
-            dirty.clear()
-            dirty.update(deferred)
+        dirty = np.flatnonzero(self._dirty)
+        self._dirty[dirty] = False
+        # crashed: silent, drops out entirely
+        dirty = dirty[~self._failed[dirty]]
+        # suppressed: no significant change since the last send
+        unchanged = self._has_baseline[dirty] & (
+            self._cur_load[dirty] == self._last_load[dirty]
+        )
+        dirty = dirty[~unchanged]
+        last_sent = self._last_sent[dirty]
+        limited = now - last_sent < tau - 1e-9
+        self._dirty[dirty[limited]] = True  # rate-limited, stays pending
+        rids = dirty[~limited]
+        lim = last_sent[~limited] + tau
+        # A first report ever anchors at the drawn phase, the instant
+        # the discrete initial report goes out.  (Post-repair
+        # re-announcements anchor in the window: discrete restarts
+        # reporting with zero phase.)  A rid deferred by the rate limit
+        # sends the moment the limit clears (last_sent + tau, exact); a
+        # fresh change sent somewhere inside the elapsed window.  Fresh
+        # sends are dithered by the resource's report phase instead of
+        # snapping to the flush grid: grid-aligned anchors would
+        # synchronize every keepalive chain they re-anchor, over-merging
+        # later bursts into too few forwards.
+        sent = np.where(
+            self._reported_once[rids],
+            np.where(
+                lim > now - window,
+                lim,
+                now - window + self._phase_offset[rids],
+            ),
+            self._phase[rids],
+        )
+        self._reported_once[rids] = True
+        self._send(rids, sent)
+        sent_rids.append(rids)
+        sent_at.append(sent)
+
+        rids = np.concatenate(sent_rids)
+        sent = np.concatenate(sent_at)
+        est_of = self._est_of[rids]
+        loads = self._cur_load[rids]
+        counts = np.bincount(est_of, minlength=n_est).tolist()
 
         # 3. Estimator-side charges (one modeled STATUS_UPDATE service
         # per emission) and the heartbeat-sweep rate.
         occupied: List[int] = []
         for e, est in enumerate(self.estimators):
-            n_msgs = len(emissions[e])
+            n_msgs = counts[e]
             if n_msgs:
                 occupied.append(e)
                 charge = self.costs.estimator_proc * n_msgs
@@ -431,24 +447,36 @@ class FluidStatusPlane:
         # flush-grid-aligned — grid alignment splits update bursts that
         # straddle a grid boundary and overcounts forwards).  Tree mode
         # (fluid-only, no discrete counterpart) merges per flush.
+        # Emissions are grouped by estimator and, within one, ordered by
+        # (arrival, rid, load) in flat mode and by (send, rid, load) in
+        # tree mode; ``np.lexsort`` sorts by its last key first.
         if self.tree is None:
+            # Reconstruct the *handle* instant of each update — send
+            # plus fixed per-pair transit, serialized through the
+            # estimator's message server — because that is what the
+            # discrete batch timer aligns to.  Bursts spread by one
+            # service time per message, which is what splits batches
+            # across window boundaries; batching on raw send instants
+            # over-merges and undercounts forwards.
+            arrival = sent + self._transit[rids]
+            order = np.lexsort((loads, rids, arrival, est_of))
+            arrivals = arrival[order].tolist()
+            order_rids, clusters, order_loads = self._batch_columns(rids, loads, order)
+            st = self.costs.estimator_proc
+            stop = 0
             for e in occupied:
-                # Reconstruct the *handle* instant of each update — send
-                # plus fixed per-pair transit, serialized through the
-                # estimator's message server — because that is what the
-                # discrete batch timer aligns to.  Bursts spread by one
-                # service time per message, which is what splits batches
-                # across window boundaries; batching on raw send
-                # instants over-merges and undercounts forwards.
-                arrivals = sorted(
-                    (t + self._transit[rid], rid, load)
-                    for t, rid, load in emissions[e]
-                )
-                st = self.costs.estimator_proc
+                start, stop = stop, stop + counts[e]
                 busy = self._busy_until[e]
                 due = self._batch_due[e]
                 pend = self._batch_pending[e]
-                for arr, rid, load in arrivals:
+                # The server's busy fold stays sequential: its float
+                # bits decide where batches close.
+                for arr, rid, cluster, load in zip(
+                    arrivals[start:stop],
+                    order_rids[start:stop],
+                    clusters[start:stop],
+                    order_loads[start:stop],
+                ):
                     busy = (arr if arr > busy else busy) + st
                     if due is not None and busy >= due - 1e-9:
                         self._close_batch(e)
@@ -456,7 +484,7 @@ class FluidStatusPlane:
                         due = None
                     if due is None:
                         due = busy + window
-                    pend.setdefault(self._cluster_of[rid], {})[rid] = float(load)
+                    pend.setdefault(cluster, {})[rid] = load
                 self._busy_until[e] = busy
                 self._batch_due[e] = due
             for e in range(n_est):
@@ -465,17 +493,35 @@ class FluidStatusPlane:
                     self._close_batch(e)
                     self._batch_due[e] = None
         else:
+            order = np.lexsort((loads, rids, sent, est_of))
+            order_rids, clusters, order_loads = self._batch_columns(rids, loads, order)
             emitted_by_est: List[Optional[Dict[int, Dict[int, float]]]] = [
                 None
             ] * n_est
+            stop = 0
             for e in occupied:
+                start, stop = stop, stop + counts[e]
                 emitted: Dict[int, Dict[int, float]] = {}
-                for _, rid, load in sorted(emissions[e]):
-                    emitted.setdefault(self._cluster_of[rid], {})[rid] = float(load)
+                for rid, cluster, load in zip(
+                    order_rids[start:stop], clusters[start:stop], order_loads[start:stop]
+                ):
+                    emitted.setdefault(cluster, {})[rid] = load
                 emitted_by_est[e] = emitted
             self._route_tree(occupied, emitted_by_est)
         self._occupied_last = len(occupied)
         self._flush_event = self.sim.schedule(self.flush_interval, self._flush)
+
+    def _batch_columns(
+        self, rids: np.ndarray, loads: np.ndarray, order: np.ndarray
+    ) -> Tuple[List[int], List[int], List[float]]:
+        """Emission ids, clusters and loads (as the floats a forward
+        carries) in ``order``, as Python lists for the sequential replay."""
+        rids = rids[order]
+        return (
+            rids.tolist(),
+            self._cluster_of[rids].tolist(),
+            loads[order].astype(float).tolist(),
+        )
 
     def _close_batch(self, e: int) -> None:
         """Emit the estimator's open batch: one forward per cluster."""
@@ -531,7 +577,8 @@ class FluidStatusPlane:
             scheduler.fluid_status(c, merged[c])
 
     # ------------------------------------------------------------------
-    # Probe taps (all O(levels) or O(estimators), never O(resources))
+    # Probe taps (O(levels) or O(estimators), except the vectorized
+    # O(resources) pending count)
     # ------------------------------------------------------------------
     @property
     def aggregate_depth(self) -> int:
@@ -546,8 +593,9 @@ class FluidStatusPlane:
 
     @property
     def pending_updates(self) -> int:
-        """Resources with unflushed load changes (O(estimators) sum)."""
-        return sum(len(d) for d in self._dirty)
+        """Resources with unflushed load changes (a vectorized
+        O(resources) count of the dirty column)."""
+        return int(np.count_nonzero(self._dirty))
 
     def heartbeat_gap(self) -> float:
         """Widest undeclared crash silence (``nan`` without a watch).

@@ -203,9 +203,7 @@ class SchedulerBase(MessageServer):
                 entries = p.get("entries")
                 if entries is None:
                     entries = {p["resource_id"]: p["load"]}
-                for rid, load in entries.items():
-                    if rid in self.table:
-                        self.table.record(rid, load, self.sim.now)
+                self.table.record_many(entries, self.sim.now)
             self.after_status_update(p)
         elif kind == MessageKind.JOB_COMPLETE:
             job = message.payload["job"]
@@ -266,9 +264,7 @@ class SchedulerBase(MessageServer):
         if self.ledger is not None and st > 0.0:
             self.ledger.charge(Category.UPDATE_RX, st, self._fluid_forward_source())
         if self.table is not None:
-            for rid, load in entries.items():
-                if rid in self.table:
-                    self.table.record(rid, load, self.sim.now)
+            self.table.record_many(entries, self.sim.now)
         self.after_status_update({"cluster_id": cluster_id, "entries": entries})
 
     # ------------------------------------------------------------------

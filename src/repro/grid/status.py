@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Dict, Iterable, Optional, Set, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Set, Tuple
 
 __all__ = ["StatusTable"]
 
@@ -42,9 +42,10 @@ class StatusTable:
         self._load: Dict[int, float] = {r: 0.0 for r in resource_ids}
         self._stamp: Dict[int, float] = {r: -math.inf for r in self._load}
         self._dead: Set[int] = set()
-        # Lazy min-heap over (load, id): every mutation pushes a fresh
-        # entry; stale/dead entries are discarded when they surface at
-        # the top.  `least_loaded` is the per-decision hot path (every
+        # Lazy min-heap over (load, id): every mutation that changes a
+        # live load, or revives an entry, pushes a fresh entry;
+        # stale/dead entries are discarded when they surface at the
+        # top.  `least_loaded` is the per-decision hot path (every
         # placement calls it), and the lexicographic heap minimum is
         # exactly the old sorted-scan answer — smallest load, lowest id
         # on ties — at O(log n) per mutation instead of O(n log n) per
@@ -67,15 +68,37 @@ class StatusTable:
         if resource_id not in self._load:
             raise KeyError(f"resource {resource_id} not tracked by this table")
         if time >= self._stamp[resource_id]:
+            old = self._load[resource_id]
             self._load[resource_id] = load
             self._stamp[resource_id] = time
-            # Fresh news proves liveness: a recovered resource rejoins
-            # the placement view on its first post-repair report.
-            self._dead.discard(resource_id)
-            # Revivals must re-enter the heap even when the load is
-            # unchanged: the dead entry may already have been discarded.
+            # Heap invariant: every live resource's current (load, id)
+            # entry is in the heap — init, record, bump, revival and
+            # compaction all keep it, and least_loaded only pops stale
+            # or dead entries.  A live resource whose load is unchanged
+            # therefore needs no push.  A revival always pushes: its
+            # entry may have been popped while it was dead.
+            if resource_id in self._dead:
+                # Fresh news proves liveness: a recovered resource
+                # rejoins the placement view on its first post-repair
+                # report.
+                self._dead.discard(resource_id)
+            elif old == load:
+                return
             heapq.heappush(self._heap, (load, resource_id))
             self._maybe_compact()
+
+    def record_many(self, entries: Mapping[int, float], time: float) -> None:
+        """Store a batch of observed ``{resource_id: load}`` at ``time``.
+
+        Each tracked entry is applied through :meth:`record`; ids this
+        table does not track are ignored (a forward may carry a whole
+        cluster's state to a table covering only part of it).
+        """
+        tracked = self._load
+        record = self.record
+        for resource_id, load in entries.items():
+            if resource_id in tracked:
+                record(resource_id, load, time)
 
     def bump(self, resource_id: int, by: float = 1.0) -> None:
         """Optimistically adjust a tracked load (local dispatch bookkeeping)."""

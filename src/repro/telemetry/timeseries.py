@@ -575,8 +575,9 @@ class ProbeSampler:
                 )
         else:
             # Aggregate taps only: total load is maintained O(1) by the
-            # plane, pending updates and tree occupancy are O(levels) /
-            # O(estimators) — never a per-resource walk.
+            # plane, pending updates are one vectorized count over its
+            # dirty column, and tree occupancy is O(levels) — never a
+            # per-resource Python walk.
             series.observe(now, "probe:running", float(fluid.total_load))
             series.observe(now, "probe:fluid_pending", float(fluid.pending_updates))
             series.observe(now, "probe:agg_depth", float(fluid.aggregate_depth))

@@ -166,6 +166,28 @@ class TestPrimitives:
         # resource 1 belongs to cluster 1; table untouched, hook fired.
         assert len(seen) == 1
 
+    def test_batched_forward_skips_untracked_ids(self):
+        g = MiniGrid(n_clusters=2, resources_per_cluster=2)
+        s = g.schedulers[0]
+        s.deliver(
+            Message(
+                MessageKind.STATUS_FORWARD,
+                payload={"cluster_id": 0, "entries": {0: 3.0, 2: 8.0, 1: 4.0}},
+            )
+        )
+        g.sim.run()
+        # resource 2 belongs to cluster 1: ignored, the rest recorded
+        assert s.table.loads() == {0: 3.0, 1: 4.0}
+
+    def test_fluid_status_skips_untracked_ids(self):
+        g = MiniGrid(n_clusters=2, resources_per_cluster=2)
+        s = g.schedulers[0]
+        seen = []
+        s.after_status_update = lambda p: seen.append(p)
+        s.fluid_status(0, {3: 5.0, 1: 6.0})
+        assert s.table.loads() == {0: 0.0, 1: 6.0}
+        assert seen == [{"cluster_id": 0, "entries": {3: 5.0, 1: 6.0}}]
+
     def test_unimplemented_protocol_message_raises(self):
         g = MiniGrid(n_clusters=1, resources_per_cluster=1)
         g.schedulers[0].deliver(Message(MessageKind.AUCTION_BID))
