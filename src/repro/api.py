@@ -60,7 +60,7 @@ class StudyResult:
 
     ``report`` is the rendered human-readable deliverable (what the CLI
     prints).  ``data`` is the kind's in-memory result object (a
-    ``FigureData``, comparison rows, or a ``*StudyResult`` dataclass)
+    ``FigureData``, comparison rows, or a ``LensStudyResult``)
     for programmatic use — ``None`` when the study ran remotely.
     ``manifest_path`` points at the study manifest when one was written.
     """
@@ -86,25 +86,10 @@ def cache_root_for_spec(spec: StudySpec) -> str:
 
 
 def cache_for_spec(spec: StudySpec):
-    """The kind-appropriate content-addressed cache for a spec.
-
-    ``series`` and ``trace`` studies need payload-aware caches (entries
-    cached by earlier plain sweeps share keys but lack the stream/trace
-    payload, so they must read as misses and be upgraded in place).
-    """
+    """The content-addressed cache for a spec (root and read mode)."""
     from .experiments.parallel import RunCache
 
-    root = cache_root_for_spec(spec)
-    read = not spec.no_cache
-    if spec.kind == "series":
-        from .experiments.seriesstudy import SeriesAwareCache
-
-        return SeriesAwareCache(root=root, read=read)
-    if spec.kind == "trace":
-        from .experiments.tracestudy import TraceAwareCache
-
-        return TraceAwareCache(root=root, read=read)
-    return RunCache(root=root, read=read)
+    return RunCache(root=cache_root_for_spec(spec), read=not spec.no_cache)
 
 
 def engine_for_spec(spec: StudySpec, cache=None):
@@ -240,6 +225,7 @@ def _run_faults(spec: StudySpec, engine, fluid, study_cls) -> StudyResult:
 def _run_series(spec: StudySpec, engine, fluid, study_cls) -> StudyResult:
     from .experiments.config import PROFILES
     from .experiments.seriesstudy import (
+        default_probe_interval,
         run_series_study,
         series_report,
         sweep_report,
@@ -256,7 +242,7 @@ def _run_series(spec: StudySpec, engine, fluid, study_cls) -> StudyResult:
         charge_rate=spec.charge_rate,
     )
     if plan.probe_interval == 0.0:
-        plan = _dc_replace(plan, probe_interval=profile.horizon / 200.0)
+        plan = _dc_replace(plan, probe_interval=default_probe_interval(profile))
     manifest_path = _manifest_dir(spec) / "series.json"
     result = run_series_study(
         profile=spec.profile,

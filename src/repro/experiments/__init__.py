@@ -15,13 +15,8 @@ from .reproduce import (
     figure6,
     figure7,
 )
-from .faultstudy import (
-    FaultStudyPoint,
-    FaultStudyResult,
-    default_churn_plan,
-    fault_report,
-    run_fault_study,
-)
+from .faultstudy import default_churn_plan, fault_report, run_fault_study
+from .lensstudy import LensStudyResult, StudyPoint
 from .inspect import inspection_report
 from .parallel import ExperimentEngine, RunCache, StudyManifest, config_key
 from .summary import CaseSummary, study_report, summarize_case
@@ -44,9 +39,9 @@ __all__ = [
     "ScaleProfile",
     "SimulationConfig",
     "CaseSummary",
-    "FaultStudyPoint",
-    "FaultStudyResult",
+    "LensStudyResult",
     "Study",
+    "StudyPoint",
     "System",
     "ascii_plot",
     "build_system",

@@ -258,6 +258,21 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
+def _run_case1_study(
+    args: argparse.Namespace, spec: StudySpec, watch: bool = False
+) -> api.StudyResult:
+    """Run a faults/series/trace spec; print its report and manifest path."""
+    with _telemetry_scope(args), _flight_scope(args), _make_engine(spec) as engine:
+        result = api.run_study(spec, engine=engine)
+    print(result.report)
+    path = result.manifest_path
+    hint = f"decompose with `repro attrib {path}`"
+    if watch:
+        hint += f", tail with `repro watch {path}`"
+    print(f"\nmanifest written to {path} ({hint})")
+    return result
+
+
 def _cmd_faults(args: argparse.Namespace) -> int:
     plan = None
     if args.fault_plan:
@@ -265,13 +280,7 @@ def _cmd_faults(args: argparse.Namespace) -> int:
         if plan is None:
             return 2
     spec = spec_from_args("faults", args, faults=plan)
-    with _telemetry_scope(args), _flight_scope(args), _make_engine(spec) as engine:
-        result = api.run_study(spec, engine=engine)
-    print(result.report)
-    print(
-        f"\nmanifest written to {result.manifest_path} "
-        f"(decompose with `repro attrib {result.manifest_path}`)"
-    )
+    result = _run_case1_study(args, spec)
     if args.events_out:
         _dump_fault_events(result.data, args.events_out)
     return 0
@@ -283,10 +292,11 @@ def _dump_fault_events(result, path: str) -> None:
     from .cases import get_case
     from .runner import build_system
 
-    name = next(iter(result.series))
+    name = next(iter(result.points))
     profile = PROFILES[result.profile]
     config = get_case(1).config_for(
-        name, profile.scales[0], profile, seed=result.seed, faults=result.plan
+        name, profile.scales[0], profile, seed=result.seed, faults=result.plan,
+        fluid=result.fluid,
     )
     system = build_system(config)
     system.sim.run(until=config.horizon + config.drain)
@@ -297,8 +307,27 @@ def _dump_fault_events(result, path: str) -> None:
     print(f"{len(events)} fault events ({name}, k={profile.scales[0]:g}) written to {path}")
 
 
+def _write_exports(args: argparse.Namespace, result, study, csv_rows: str,
+                   jsonl_runs: str) -> None:
+    """Write the ``--csv``/``--jsonl``/``--prom`` exports a study asked for.
+
+    ``study`` is the lens module whose ``export_*`` functions render
+    ``result``; ``csv_rows`` and ``jsonl_runs`` name what one CSV row
+    and one JSONL line hold in the printed counts.
+    """
+    for path, export, noun, newline in (
+        (args.csv, study.export_csv, csv_rows, ""),
+        (args.jsonl, study.export_jsonl, jsonl_runs, None),
+        (args.prom, study.export_prometheus, "Prometheus samples", None),
+    ):
+        if path:
+            with open(path, "w", encoding="utf-8", newline=newline) as fh:
+                n = export(result, fh)
+            print(f"{n} {noun} written to {path}")
+
+
 def _cmd_series(args: argparse.Namespace) -> int:
-    from .seriesstudy import export_csv, export_jsonl, export_prometheus
+    from . import seriesstudy
 
     try:
         spec = spec_from_args("series", args)
@@ -309,36 +338,13 @@ def _cmd_series(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    with _telemetry_scope(args), _flight_scope(args), _make_engine(spec) as engine:
-        result = api.run_study(spec, engine=engine)
-    print(result.report)
-    print(
-        f"\nmanifest written to {result.manifest_path} "
-        f"(decompose with `repro attrib {result.manifest_path}`, "
-        f"tail with `repro watch {result.manifest_path}`)"
-    )
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8", newline="") as fh:
-            n = export_csv(result.data, fh)
-        print(f"{n} window rows written to {args.csv}")
-    if args.jsonl:
-        with open(args.jsonl, "w", encoding="utf-8") as fh:
-            n = export_jsonl(result.data, fh)
-        print(f"{n} run series written to {args.jsonl}")
-    if args.prom:
-        with open(args.prom, "w", encoding="utf-8") as fh:
-            n = export_prometheus(result.data, fh)
-        print(f"{n} Prometheus samples written to {args.prom}")
+    result = _run_case1_study(args, spec, watch=True)
+    _write_exports(args, result.data, seriesstudy, "window rows", "run series")
     return 0
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    from .tracestudy import (
-        default_trace_plan,
-        export_csv,
-        export_jsonl,
-        export_prometheus,
-    )
+    from . import tracestudy
 
     faults = None
     if args.fault_plan:
@@ -347,7 +353,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             return 2
     # pre-validate the trace knobs so a bad flag is a one-line error
     try:
-        default_trace_plan(
+        tracestudy.default_trace_plan(
             sample=args.trace_sample,
             charge_rate=args.trace_charge,
             max_events=args.max_events,
@@ -356,25 +362,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     spec = spec_from_args("trace", args, faults=faults)
-    with _telemetry_scope(args), _flight_scope(args), _make_engine(spec) as engine:
-        result = api.run_study(spec, engine=engine)
-    print(result.report)
-    print(
-        f"\nmanifest written to {result.manifest_path} "
-        f"(decompose with `repro attrib {result.manifest_path}`)"
-    )
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8", newline="") as fh:
-            n = export_csv(result.data, fh)
-        print(f"{n} phase rows written to {args.csv}")
-    if args.jsonl:
-        with open(args.jsonl, "w", encoding="utf-8") as fh:
-            n = export_jsonl(result.data, fh)
-        print(f"{n} run traces written to {args.jsonl}")
-    if args.prom:
-        with open(args.prom, "w", encoding="utf-8") as fh:
-            n = export_prometheus(result.data, fh)
-        print(f"{n} Prometheus samples written to {args.prom}")
+    result = _run_case1_study(args, spec)
+    _write_exports(args, result.data, tracestudy, "phase rows", "run traces")
     return 0
 
 

@@ -180,7 +180,11 @@ class RunCache:
         """The cached result for ``config``, or ``None`` on any miss.
 
         Corrupted, truncated, or wrong-version entries count as misses
-        (and are tallied in :attr:`errors`).
+        (and are tallied in :attr:`errors`).  So does an entry without
+        the ``series`` / ``trace`` payload an enabled monitor / trace
+        plan on ``config`` asks for: a passive plan shares its key with
+        an unobserved run, and the engine's recompute (byte-identical by
+        the passive-plan contract) upgrades the entry in place.
         """
         if not self.read:
             self.misses += 1
@@ -206,6 +210,11 @@ class RunCache:
             tel = _telemetry()
             tel.metrics.counter("cache.repairs").increment()
             tel.event("cache.corrupt", key=key, error=f"{type(exc).__name__}: {exc}")
+            return None
+        if (metrics.series is None and config.monitor.is_enabled) or (
+            metrics.trace is None and config.trace.is_enabled
+        ):
+            self.misses += 1
             return None
         self.hits += 1
         return metrics

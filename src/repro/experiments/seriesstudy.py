@@ -17,31 +17,25 @@ this driver renders:
 * **exports** — per-window CSV, per-run JSONL, and a Prometheus text
   exposition of the study's summary gauges.
 
-All runs go through the engine as one batch (results independent of
-``--jobs``), and the study checkpoints into
-``<cache>/manifests/series.json`` in the same manifest shape ``repro
-attrib`` reads — the series payload rides inside each point.
-
-Cache interaction: a passive plan shares cache keys with unmonitored
-runs *by design* (see ``parallel.hashing``), which means a prior
-figure sweep may have cached the same key **without** a series payload.
-:class:`SeriesAwareCache` treats such an entry as a miss so the run is
-recomputed (byte-identical, now carrying its stream) and the entry
-upgraded in place.
+The batch, the points and the ``<cache>/manifests/series.json``
+checkpoint (the series payload rides inside each point, where ``repro
+attrib`` and ``repro watch`` read it) come from the shared
+:mod:`~repro.experiments.lensstudy` driver.  A passive plan shares
+cache keys with unmonitored runs *by design* (see
+``parallel.hashing``); ``RunCache.get`` reads a series-less entry for
+a monitored config as a miss, so the run is recomputed (byte-identical,
+now carrying its stream) and the entry upgraded in place.
 """
 
 from __future__ import annotations
 
 import csv
-import hashlib
-import json
-import math
-from dataclasses import dataclass, field
+from dataclasses import replace
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, TextIO
+from typing import Dict, List, Optional, Sequence, TextIO
 
 from ..rms.registry import rms_names
-from ..telemetry.promexport import attribution_labels, write_metric
+from ..telemetry.promexport import write_metric
 from ..telemetry.timeseries import (
     MonitorPlan,
     efficiency_curve,
@@ -50,26 +44,60 @@ from ..telemetry.timeseries import (
     steady_state,
 )
 from .cases import get_case
-from .config import PROFILES, ScaleProfile, SimulationConfig
-from .parallel.cache import RunCache
-from .parallel.hashing import canonical_json
-from .parallel.manifest import StudyManifest
-from .runner import RunMetrics, run_simulation
+from .config import PROFILES, ScaleProfile
+from .lensstudy import (
+    Lens,
+    LensStudyResult,
+    StudyPoint,
+    export_jsonl,
+    overhead_samples,
+    plan_digest,
+    point_labels,
+    run_lens_study,
+)
 from .tabulate import format_table
 
 __all__ = [
-    "SeriesAwareCache",
-    "SeriesStudyPoint",
-    "SeriesStudyResult",
+    "SERIES",
     "default_monitor_plan",
+    "default_probe_interval",
     "export_csv",
     "export_jsonl",
     "export_prometheus",
-    "monitor_plan_key",
     "run_series_study",
     "series_report",
+    "steady",
     "sweep_report",
 ]
+
+
+def steady(p: StudyPoint) -> Dict[str, float]:
+    """Warmup/steady-state analysis of a point's stream."""
+    if p.metrics.series is None:
+        return {}
+    return steady_state(p.metrics.series)
+
+
+#: the time-resolved lens: a :class:`MonitorPlan` on every config, each
+#: point reporting its windowed stream and steady-state analysis
+SERIES = Lens(
+    name="series",
+    config_field="monitor",
+    to_jsonable=monitor_plan_to_jsonable,
+    plan_key="monitor",
+    payload="series",
+    point=lambda p: {"series": p.metrics.series, "steady": steady(p)},
+)
+
+
+def default_probe_interval(profile: ScaleProfile) -> float:
+    """The study's probe period: ``horizon / 200``.
+
+    That is the status-update period's order of magnitude, so a run
+    collects a few hundred sweeps — dense enough for the gauges to
+    mean something, sparse enough to stay cheap.
+    """
+    return profile.horizon / 200.0
 
 
 def default_monitor_plan(
@@ -79,97 +107,16 @@ def default_monitor_plan(
 ) -> MonitorPlan:
     """The standard study plan for one profile.
 
-    Windowed streams on with the derived width; probes default to the
-    status-update period's order of magnitude (``horizon / 200``) so a
-    run collects a few hundred sweeps — dense enough for the gauges to
-    mean something, sparse enough to stay cheap.
+    Windowed streams on with the derived width; probes default to
+    :func:`default_probe_interval`.
     """
     if probe_interval is None:
-        probe_interval = profile.horizon / 200.0
+        probe_interval = default_probe_interval(profile)
     return MonitorPlan(
         series=True,
         probe_interval=float(probe_interval),
         charge_rate=float(charge_rate) if charge_rate is not None else 0.0,
     )
-
-
-def monitor_plan_key(plan: MonitorPlan) -> str:
-    """A short stable digest of a plan (manifest key component)."""
-    digest = hashlib.sha256(
-        canonical_json(monitor_plan_to_jsonable(plan))
-    ).hexdigest()
-    return digest[:12]
-
-
-class SeriesAwareCache(RunCache):
-    """A run cache that refuses series-less hits for monitored configs.
-
-    Passive monitor plans hash to the same key as unmonitored runs, so
-    an entry cached by an earlier figure sweep may lack the series
-    payload this study needs.  Such an entry is still *valid* — just
-    incomplete for this consumer — so it reads as a miss here: the run
-    is recomputed (byte-identical by the passive-plan contract) and the
-    rewritten entry carries the stream for both consumers.
-    """
-
-    def get(
-        self, config: SimulationConfig, key: Optional[str] = None
-    ) -> Optional[RunMetrics]:
-        metrics = super().get(config, key)
-        if (
-            metrics is not None
-            and metrics.series is None
-            and config.monitor.is_enabled
-        ):
-            self.hits -= 1
-            self.misses += 1
-            return None
-        return metrics
-
-
-@dataclass(frozen=True)
-class SeriesStudyPoint:
-    """One (RMS, scale) run with its time-resolved stream."""
-
-    rms: str
-    scale: float
-    metrics: RunMetrics
-
-    @property
-    def series(self) -> Optional[Dict[str, Any]]:
-        return self.metrics.series
-
-    @property
-    def monitor_g(self) -> float:
-        """The run's total ``g.monitor`` probe overhead."""
-        attribution = self.metrics.attribution or {}
-        return math.fsum(
-            v for k, v in attribution.items() if k.startswith("g.monitor")
-        )
-
-    @property
-    def steady(self) -> Dict[str, float]:
-        """Warmup/steady-state analysis of the run's stream."""
-        if self.series is None:
-            return {}
-        return steady_state(self.series)
-
-
-@dataclass(frozen=True)
-class SeriesStudyResult:
-    """Everything ``repro series`` measured."""
-
-    profile: str
-    seed: int
-    plan: MonitorPlan
-    #: traffic plan the runs executed under (``None`` means discrete)
-    fluid: Optional[Any] = None
-    #: RMS name -> points in ascending scale order
-    series: Dict[str, List[SeriesStudyPoint]] = field(default_factory=dict)
-    #: probe-interval sweep points (interval -> per-RMS points), present
-    #: only when several intervals were requested
-    sweep: Dict[float, Dict[str, SeriesStudyPoint]] = field(default_factory=dict)
-    manifest_path: Optional[Path] = None
 
 
 def run_series_study(
@@ -183,7 +130,7 @@ def run_series_study(
     engine=None,
     manifest_path: "str | Path | None" = None,
     fluid=None,
-) -> SeriesStudyResult:
+) -> LensStudyResult:
     """Run the time-resolved study: Case-1 scaling under a monitor plan.
 
     Parameters
@@ -196,18 +143,12 @@ def run_series_study(
         Additional probe intervals for the overhead/accuracy sweep,
         each run at the base scale for every design with the plan's
         charge rate.
-    engine:
-        Optional :class:`~repro.experiments.parallel.ExperimentEngine`;
-        all runs (scaling path + sweep) go through it as **one** batch,
-        so worker count cannot affect results.
-    manifest_path:
-        When given, each design's points are checkpointed there in the
-        study-manifest shape ``repro attrib`` and ``repro watch`` read.
-    fluid:
-        Optional :class:`~repro.fluid.plan.FluidPlan` applied to every
-        run.  In fluid mode the probe sampler reads the status plane's
-        O(1) aggregate gauges instead of sweeping per-resource state,
-        so the study stays cheap at extreme scale.
+    engine, manifest_path, fluid:
+        As for :func:`~repro.experiments.lensstudy.run_lens_study`; the
+        sweep runs ride in the same engine batch.  In fluid mode the
+        probe sampler reads the status plane's O(1) aggregate gauges
+        instead of sweeping per-resource state, so the study stays
+        cheap at extreme scale.
     """
     prof = PROFILES[profile] if isinstance(profile, str) else profile
     names = list(rms) if rms else rms_names()
@@ -215,102 +156,40 @@ def run_series_study(
         plan = default_monitor_plan(
             prof, probe_interval=probe_interval, charge_rate=charge_rate
         )
-    case = get_case(1)
-
-    configs = [
-        case.config_for(name, k, prof, seed=seed, monitor=plan, fluid=fluid)
-        for name in names
-        for k in prof.scales
-    ]
     intervals = [
         float(i) for i in (sweep_intervals or ()) if float(i) != plan.probe_interval
     ]
     base_k = prof.scales[0]
     sweep_configs = [
-        case.config_for(
+        get_case(1).config_for(
             name,
             base_k,
             prof,
             seed=seed,
-            monitor=MonitorPlan(
-                series=True,
-                window=plan.window,
-                max_windows=plan.max_windows,
-                probe_interval=interval,
-                charge_rate=plan.charge_rate,
-            ),
+            monitor=replace(plan, series=True, probe_interval=interval),
             fluid=fluid,
         )
         for interval in intervals
         for name in names
     ]
-    if engine is not None:
-        metrics_list = engine.run_many(configs + sweep_configs)
-    else:
-        metrics_list = [run_simulation(c) for c in configs + sweep_configs]
+    result, sweep_metrics = run_lens_study(
+        SERIES, plan, prof, names, seed, engine, manifest_path,
+        fluid=fluid, extra_configs=sweep_configs,
+    )
 
-    it = iter(metrics_list)
-    series: Dict[str, List[SeriesStudyPoint]] = {}
-    for name in names:
-        series[name] = [
-            SeriesStudyPoint(rms=name, scale=float(k), metrics=next(it))
-            for k in prof.scales
-        ]
-    sweep: Dict[float, Dict[str, SeriesStudyPoint]] = {}
+    it = iter(sweep_metrics)
+    sweep: Dict[float, Dict[str, StudyPoint]] = {}
     for interval in intervals:
         sweep[interval] = {
-            name: SeriesStudyPoint(rms=name, scale=float(base_k), metrics=next(it))
+            name: StudyPoint(rms=name, scale=float(base_k), metrics=next(it))
             for name in names
         }
     if intervals:
         # The study's own points cover the plan's interval at base scale.
         sweep[plan.probe_interval] = {
-            name: series[name][0] for name in names
+            name: result.points[name][0] for name in names
         }
-
-    result = SeriesStudyResult(
-        profile=prof.name,
-        seed=seed,
-        plan=plan,
-        fluid=fluid,
-        series=series,
-        sweep=dict(sorted(sweep.items())),
-        manifest_path=Path(manifest_path) if manifest_path else None,
-    )
-    if result.manifest_path is not None:
-        _write_manifest(result)
-    return result
-
-
-def _write_manifest(result: SeriesStudyResult) -> None:
-    """Checkpoint the study in the shape ``repro attrib``/``watch`` read."""
-    manifest = StudyManifest(result.manifest_path)
-    digest = monitor_plan_key(result.plan)
-    fluid = ""
-    if result.fluid is not None and getattr(result.fluid, "is_fluid", False):
-        fluid = f":fluid{result.fluid.mode}-fan{result.fluid.aggregator_fanout}"
-    for name, points in result.series.items():
-        key = f"{result.profile}:seed{result.seed}:series{digest}{fluid}:case1:{name}"
-        payload = {
-            "monitor": monitor_plan_to_jsonable(result.plan),
-            "result": {
-                "points": [
-                    {
-                        "scale": p.scale,
-                        "record": {
-                            "F": p.metrics.record.F,
-                            "G": p.metrics.record.G,
-                            "H": p.metrics.record.H,
-                        },
-                        "attribution": p.metrics.attribution or {},
-                        "series": p.series,
-                        "steady": p.steady,
-                    }
-                    for p in points
-                ]
-            },
-        }
-        manifest.mark_done(key, payload)
+    return replace(result, sweep=dict(sorted(sweep.items())))
 
 
 # ---------------------------------------------------------------------------
@@ -328,12 +207,12 @@ def _thin(indices: Sequence[int], limit: int) -> List[int]:
 
 
 def series_report(
-    result: SeriesStudyResult, precision: int = 3, curve_rows: int = 12
+    result: LensStudyResult, precision: int = 3, curve_rows: int = 12
 ) -> str:
     """Render the study: steady-state tables plus thinned E(t)/G(t) curves."""
     plan = result.plan
     parts: List[str] = [
-        f"monitor plan {monitor_plan_key(plan)}: "
+        f"monitor plan {plan_digest(monitor_plan_to_jsonable(plan))}: "
         f"probe_interval={plan.probe_interval:g}, "
         f"charge_rate={plan.charge_rate:g} "
         f"(profile {result.profile}, seed {result.seed})"
@@ -341,9 +220,9 @@ def series_report(
 
     worst = 0.0
     rows = []
-    for name, points in result.series.items():
+    for name, points in result.points.items():
         for p in points:
-            ss = p.steady
+            ss = steady(p)
             if not ss:
                 continue
             rel = ss["rel_error"]
@@ -357,7 +236,7 @@ def series_report(
                     ss["final_E"],
                     rel * 100.0,
                     ss["warmup_time"],
-                    p.monitor_g,
+                    p.overhead("g.monitor"),
                 ]
             )
     parts.append("\nsteady-state detection (MSER warmup truncation):")
@@ -373,16 +252,18 @@ def series_report(
         + (" (within 2%)" if worst <= 0.02 else " (EXCEEDS 2%)")
     )
 
-    for name, points in result.series.items():
-        payloads = [p.series for p in points if p.series is not None]
+    for name, points in result.points.items():
+        payloads = [
+            p.metrics.series for p in points if p.metrics.series is not None
+        ]
         if not payloads:
             continue
         parts.append(f"\n{name} — E(t)/G(t) per scale (thinned to {curve_rows} rows):")
         for p in points:
-            if p.series is None:
+            if p.metrics.series is None:
                 continue
-            curve = efficiency_curve(p.series)
-            g = p.series["sums"].get("G", [])
+            curve = efficiency_curve(p.metrics.series)
+            g = p.metrics.series["sums"].get("G", [])
             idx = _thin(range(len(curve)), curve_rows)
             crows = [
                 [
@@ -411,7 +292,7 @@ def series_report(
     return "\n".join(parts)
 
 
-def sweep_report(result: SeriesStudyResult, precision: int = 3) -> str:
+def sweep_report(result: LensStudyResult, precision: int = 3) -> str:
     """Render the overhead/accuracy sweep (monotone G:monitor check).
 
     Charges never feed back into simulation behaviour, so F must be
@@ -429,14 +310,14 @@ def sweep_report(result: SeriesStudyResult, precision: int = 3) -> str:
         g_monitor_by_rate = []
         for interval, by_rms in result.sweep.items():
             p = by_rms[name]
-            sweeps = (p.series or {}).get("sweeps", 0)
+            sweeps = (p.metrics.series or {}).get("sweeps", 0)
             f_values.append(p.metrics.record.F)
-            g_monitor_by_rate.append((1.0 / interval, p.monitor_g))
+            g_monitor_by_rate.append((1.0 / interval, p.overhead("g.monitor")))
             rows.append(
                 [
                     interval,
                     int(sweeps),
-                    p.monitor_g,
+                    p.overhead("g.monitor"),
                     p.metrics.record.G,
                     p.metrics.efficiency,
                     p.metrics.record.F,
@@ -470,23 +351,23 @@ def sweep_report(result: SeriesStudyResult, precision: int = 3) -> str:
 # Exports
 # ---------------------------------------------------------------------------
 
-def export_csv(result: SeriesStudyResult, fh: TextIO) -> int:
+def export_csv(result: LensStudyResult, fh: TextIO) -> int:
     """Every window of every run as CSV rows; returns the row count."""
     writer = csv.writer(fh)
     writer.writerow(
         ["rms", "scale", "t", "width", "F", "G", "H", "e_inst", "E_cum"]
     )
     n = 0
-    for name, points in result.series.items():
+    for name, points in result.points.items():
         for p in points:
-            if p.series is None:
+            if p.metrics.series is None:
                 continue
-            sums = p.series["sums"]
+            sums = p.metrics.series["sums"]
             f = sums.get("F", [])
             g = sums.get("G", [])
             h = sums.get("H", [])
-            width = p.series["width"]
-            for i, (t, inst, cum) in enumerate(efficiency_curve(p.series)):
+            width = p.metrics.series["width"]
+            for i, (t, inst, cum) in enumerate(efficiency_curve(p.metrics.series)):
                 writer.writerow(
                     [
                         name,
@@ -504,36 +385,7 @@ def export_csv(result: SeriesStudyResult, fh: TextIO) -> int:
     return n
 
 
-def export_jsonl(result: SeriesStudyResult, fh: TextIO) -> int:
-    """One JSON line per run (full series payload); returns line count."""
-    n = 0
-    for name, points in result.series.items():
-        for p in points:
-            fh.write(
-                json.dumps(
-                    {
-                        "rms": name,
-                        "scale": p.scale,
-                        "profile": result.profile,
-                        "seed": result.seed,
-                        "monitor": monitor_plan_to_jsonable(result.plan),
-                        "record": {
-                            "F": p.metrics.record.F,
-                            "G": p.metrics.record.G,
-                            "H": p.metrics.record.H,
-                        },
-                        "steady": p.steady,
-                        "series": p.series,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
-            n += 1
-    return n
-
-
-def export_prometheus(result: SeriesStudyResult, fh: TextIO) -> int:
+def export_prometheus(result: LensStudyResult, fh: TextIO) -> int:
     """Prometheus text exposition of the study's summary gauges.
 
     One sample per (metric, rms, scale) — the end-of-study snapshot a
@@ -546,43 +398,27 @@ def export_prometheus(result: SeriesStudyResult, fh: TextIO) -> int:
         "repro_useful_work_total": ("counter", lambda p, s: p.metrics.record.F),
         "repro_rms_overhead_total": ("counter", lambda p, s: p.metrics.record.G),
         "repro_rp_overhead_total": ("counter", lambda p, s: p.metrics.record.H),
-        "repro_monitor_overhead_total": ("counter", lambda p, s: p.monitor_g),
+        "repro_monitor_overhead_total": (
+            "counter",
+            lambda p, s: p.overhead("g.monitor"),
+        ),
         "repro_efficiency": ("gauge", lambda p, s: p.metrics.efficiency),
         "repro_steady_efficiency": ("gauge", lambda p, s: s.get("steady_E")),
         "repro_warmup_time": ("gauge", lambda p, s: s.get("warmup_time")),
     }
-    points = [p for pts in result.series.values() for p in pts]
+    points = [p for pts in result.points.values() for p in pts]
     n = 0
     for mname, (mtype, getter) in metrics.items():
         n += write_metric(
             fh,
             mname,
             mtype,
-            (
-                (
-                    {"rms": p.rms, "scale": p.scale, "profile": result.profile},
-                    getter(p, p.steady),
-                )
-                for p in points
-            ),
+            ((point_labels(result, p), getter(p, steady(p))) for p in points),
         )
     n += write_metric(
         fh,
         "repro_overhead_component_total",
         "counter",
-        (
-            (
-                {
-                    "rms": p.rms,
-                    "scale": p.scale,
-                    "profile": result.profile,
-                    **attribution_labels(key),
-                },
-                value,
-            )
-            for p in points
-            for key, value in sorted((p.metrics.attribution or {}).items())
-            if key.startswith("g.")
-        ),
+        overhead_samples(result, "g."),
     )
     return n

@@ -21,30 +21,17 @@ this driver renders:
   and a Prometheus text exposition via the shared
   :mod:`~repro.telemetry.promexport` path.
 
-All runs go through the engine as one batch (results independent of
-``--jobs``), and the study checkpoints into
-``<cache>/manifests/trace.json`` in the same manifest shape the other
-studies use.
-
-Cache interaction mirrors ``repro series``: a passive plan (zero charge
-rate) shares cache keys with untraced runs by design, so an entry
-cached by an earlier sweep may lack the trace payload.
-:class:`TraceAwareCache` treats such an entry as a miss so the run is
-recomputed (byte-identical by the passive-plan contract) and the entry
-upgraded in place.
+The batch, the points and the ``<cache>/manifests/trace.json``
+checkpoint come from the shared :mod:`~repro.experiments.lensstudy`
+driver, which also says how trace-less cache entries are upgraded.
 """
 
 from __future__ import annotations
 
 import csv
-import hashlib
-import json
-import math
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, TextIO
 
-from ..rms.registry import rms_names
 from ..telemetry.critpath import (
     PHASES,
     aggregate_phases,
@@ -53,31 +40,34 @@ from ..telemetry.critpath import (
     merge_latency,
     phase_shares,
 )
-from ..telemetry.promexport import attribution_labels, write_metric
+from ..telemetry.promexport import write_metric
 from ..telemetry.tracing import (
     TracePlan,
     resolve_trace_plan,
     trace_plan_to_jsonable,
 )
-from .cases import get_case
-from .config import PROFILES, ScaleProfile, SimulationConfig
-from .parallel.cache import RunCache
-from .parallel.hashing import canonical_json
-from .parallel.manifest import StudyManifest
-from .runner import RunMetrics, run_simulation
+from .lensstudy import (
+    Lens,
+    LensStudyResult,
+    StudyPoint,
+    export_jsonl,
+    overhead_samples,
+    plan_digest,
+    point_labels,
+    run_lens_study,
+)
 from .tabulate import format_table
 
 __all__ = [
     "RESIDUAL_TOLERANCE",
-    "TraceAwareCache",
-    "TraceStudyPoint",
-    "TraceStudyResult",
+    "TRACE",
     "default_trace_plan",
     "export_csv",
     "export_jsonl",
     "export_prometheus",
+    "phases",
     "run_trace_study",
-    "trace_plan_key",
+    "shares",
     "trace_report",
 ]
 
@@ -85,6 +75,33 @@ __all__ = [
 #: decomposition telescopes, so the only error source is rounding of
 #: the interval differences — parts in 1e-12 of the O(1e4) turnarounds.
 RESIDUAL_TOLERANCE = 1e-6
+
+
+def phases(p: StudyPoint) -> Dict[str, Any]:
+    """A point's phase aggregate (``aggregate_phases`` shape)."""
+    if p.metrics.trace is None:
+        return {}
+    return aggregate_phases(p.metrics.trace)
+
+
+def shares(p: StudyPoint) -> Dict[str, float]:
+    """Each phase's share of a point's summed turnaround."""
+    agg = phases(p)
+    if not agg:
+        return {}
+    return phase_shares(agg["phases"])
+
+
+#: the causal-tracing lens: a :class:`TracePlan` on every config, each
+#: point reporting its phase aggregate and phase shares
+TRACE = Lens(
+    name="trace",
+    config_field="trace",
+    to_jsonable=trace_plan_to_jsonable,
+    plan_key="trace_plan",
+    payload="trace",
+    point=lambda p: {"phases": phases(p), "shares": shares(p)},
+)
 
 
 def default_trace_plan(
@@ -109,90 +126,6 @@ def default_trace_plan(
     )
 
 
-def trace_plan_key(plan: TracePlan) -> str:
-    """A short stable digest of a plan (manifest key component)."""
-    digest = hashlib.sha256(
-        canonical_json(trace_plan_to_jsonable(plan))
-    ).hexdigest()
-    return digest[:12]
-
-
-class TraceAwareCache(RunCache):
-    """A run cache that refuses trace-less hits for traced configs.
-
-    Passive trace plans hash to the same key as untraced runs, so an
-    entry cached by an earlier sweep may lack the trace payload this
-    study needs.  Such an entry is still *valid* — just incomplete for
-    this consumer — so it reads as a miss here: the run is recomputed
-    (byte-identical by the passive-plan contract) and the rewritten
-    entry carries the payload for both consumers.
-    """
-
-    def get(
-        self, config: SimulationConfig, key: Optional[str] = None
-    ) -> Optional[RunMetrics]:
-        metrics = super().get(config, key)
-        if (
-            metrics is not None
-            and metrics.trace is None
-            and config.trace.is_enabled
-        ):
-            self.hits -= 1
-            self.misses += 1
-            return None
-        return metrics
-
-
-@dataclass(frozen=True)
-class TraceStudyPoint:
-    """One (RMS, scale) run with its sampled trace payload."""
-
-    rms: str
-    scale: float
-    metrics: RunMetrics
-
-    @property
-    def trace(self) -> Optional[Dict[str, Any]]:
-        return self.metrics.trace
-
-    @property
-    def phases(self) -> Dict[str, Any]:
-        """The run's phase aggregate (``aggregate_phases`` shape)."""
-        if self.trace is None:
-            return {}
-        return aggregate_phases(self.trace)
-
-    @property
-    def shares(self) -> Dict[str, float]:
-        """Each phase's share of the run's summed turnaround."""
-        agg = self.phases
-        if not agg:
-            return {}
-        return phase_shares(agg["phases"])
-
-    @property
-    def trace_g(self) -> float:
-        """The run's total ``g.trace`` recording overhead."""
-        attribution = self.metrics.attribution or {}
-        return math.fsum(
-            v for k, v in attribution.items() if k.startswith("g.trace")
-        )
-
-
-@dataclass(frozen=True)
-class TraceStudyResult:
-    """Everything ``repro trace`` measured."""
-
-    profile: str
-    seed: int
-    plan: TracePlan
-    #: traffic plan the runs executed under (``None`` means discrete)
-    fluid: Optional[Any] = None
-    #: RMS name -> points in ascending scale order
-    traces: Dict[str, List[TraceStudyPoint]] = field(default_factory=dict)
-    manifest_path: Optional[Path] = None
-
-
 def run_trace_study(
     profile: str = "ci",
     rms: Optional[Sequence[str]] = None,
@@ -205,7 +138,7 @@ def run_trace_study(
     manifest_path: "str | Path | None" = None,
     fluid=None,
     faults=None,
-) -> TraceStudyResult:
+) -> LensStudyResult:
     """Run the causal-tracing study: Case-1 scaling under a trace plan.
 
     Parameters
@@ -215,110 +148,39 @@ def run_trace_study(
         plan is resolved (``sample`` / ``charge_rate`` / ``max_events``
         override its knobs, then ``REPRO_TRACE_*`` env vars, then the
         trace-everything default).
-    engine:
-        Optional :class:`~repro.experiments.parallel.ExperimentEngine`;
-        all runs go through it as **one** batch, so worker count cannot
-        affect results.  Pair it with :class:`TraceAwareCache` so
-        trace-less cache entries are upgraded rather than served.
-    manifest_path:
-        When given, each design's points are checkpointed there in the
-        study-manifest shape the other study commands read.
-    fluid:
-        Optional :class:`~repro.fluid.plan.FluidPlan` applied to every
-        run — tracing composes with the fluid traffic mode (job-plane
-        messages stay discrete there, so span DAGs are unchanged).
-    faults:
-        Optional :class:`~repro.faults.plan.FaultPlan` applied to every
-        run — crash/recovery paths then show up as ``recovery_wait``.
+    engine, manifest_path, fluid, faults:
+        As for :func:`~repro.experiments.lensstudy.run_lens_study`.
+        Tracing composes with the fluid traffic mode (job-plane messages
+        stay discrete there, so span DAGs are unchanged); under a fault
+        plan, crash/recovery paths show up as ``recovery_wait``.
     """
-    prof = PROFILES[profile] if isinstance(profile, str) else profile
-    names = list(rms) if rms else rms_names()
     if plan is None:
         plan = default_trace_plan(
             sample=sample, charge_rate=charge_rate, max_events=max_events
         )
-    case = get_case(1)
-
-    configs = [
-        case.config_for(
-            name, k, prof, seed=seed, trace=plan, fluid=fluid, faults=faults
-        )
-        for name in names
-        for k in prof.scales
-    ]
-    if engine is not None:
-        metrics_list = engine.run_many(configs)
-    else:
-        metrics_list = [run_simulation(c) for c in configs]
-
-    it = iter(metrics_list)
-    traces: Dict[str, List[TraceStudyPoint]] = {}
-    for name in names:
-        traces[name] = [
-            TraceStudyPoint(rms=name, scale=float(k), metrics=next(it))
-            for k in prof.scales
-        ]
-
-    result = TraceStudyResult(
-        profile=prof.name,
-        seed=seed,
-        plan=plan,
-        fluid=fluid,
-        traces=traces,
-        manifest_path=Path(manifest_path) if manifest_path else None,
+    result, _ = run_lens_study(
+        TRACE, plan, profile, rms, seed, engine, manifest_path,
+        fluid=fluid, faults=faults,
     )
-    if result.manifest_path is not None:
-        _write_manifest(result)
     return result
-
-
-def _write_manifest(result: TraceStudyResult) -> None:
-    """Checkpoint the study in the shared study-manifest shape."""
-    manifest = StudyManifest(result.manifest_path)
-    digest = trace_plan_key(result.plan)
-    fluid = ""
-    if result.fluid is not None and getattr(result.fluid, "is_fluid", False):
-        fluid = f":fluid{result.fluid.mode}-fan{result.fluid.aggregator_fanout}"
-    for name, points in result.traces.items():
-        key = f"{result.profile}:seed{result.seed}:trace{digest}{fluid}:case1:{name}"
-        payload = {
-            "trace_plan": trace_plan_to_jsonable(result.plan),
-            "result": {
-                "points": [
-                    {
-                        "scale": p.scale,
-                        "record": {
-                            "F": p.metrics.record.F,
-                            "G": p.metrics.record.G,
-                            "H": p.metrics.record.H,
-                        },
-                        "attribution": p.metrics.attribution or {},
-                        "phases": p.phases,
-                        "shares": p.shares,
-                    }
-                    for p in points
-                ]
-            },
-        }
-        manifest.mark_done(key, payload)
 
 
 # ---------------------------------------------------------------------------
 # Report
 # ---------------------------------------------------------------------------
 
-def _present_phases(points: Sequence[TraceStudyPoint]) -> List[str]:
+def _present_phases(points: Sequence[StudyPoint]) -> List[str]:
     """Phases that occur anywhere across the points, in canonical order."""
-    seen = {name for p in points for name in p.phases.get("phases", {})}
+    seen = {name for p in points for name in phases(p).get("phases", {})}
     return [name for name in PHASES if name in seen]
 
 
-def trace_report(result: TraceStudyResult, precision: int = 3) -> str:
+def trace_report(result: LensStudyResult, precision: int = 3) -> str:
     """Render the study: per-design phase-share tables, the telescoping
     invariant, the share-growth ranking, and latency quantiles."""
     plan = result.plan
     parts: List[str] = [
-        f"trace plan {trace_plan_key(plan)}: "
+        f"trace plan {plan_digest(trace_plan_to_jsonable(plan))}: "
         f"sample={plan.sample:g}, charge_rate={plan.charge_rate:g}, "
         f"max_events={plan.max_events} "
         f"(profile {result.profile}, seed {result.seed})"
@@ -327,25 +189,25 @@ def trace_report(result: TraceStudyResult, precision: int = 3) -> str:
     worst_residual = 0.0
     total_sampled = 0
     total_dropped = 0
-    for name, points in result.traces.items():
+    for name, points in result.points.items():
         columns = _present_phases(points)
         rows = []
         growth_points = []
         for p in points:
-            agg = p.phases
+            agg = phases(p)
             if not agg:
                 continue
-            shares = p.shares
+            point_shares = shares(p)
             if agg["max_residual"] > worst_residual:
                 worst_residual = agg["max_residual"]
-            trace = p.trace or {}
+            trace = p.metrics.trace or {}
             total_sampled += trace.get("sampled", 0)
             total_dropped += trace.get("dropped", 0)
-            growth_points.append((p.scale, shares))
+            growth_points.append((p.scale, point_shares))
             rows.append(
                 [p.scale, agg["jobs"], agg["incomplete"]]
-                + [shares.get(c, 0.0) for c in columns]
-                + [p.trace_g]
+                + [point_shares.get(c, 0.0) for c in columns]
+                + [p.overhead("g.trace")]
             )
         parts.append(f"\n{name} — phase shares of turnaround per scale:")
         parts.append(
@@ -362,7 +224,9 @@ def trace_report(result: TraceStudyResult, precision: int = 3) -> str:
             )
             parts.append(f"  share growth with k (top 3): {top}")
 
-        merged = merge_latency(p.trace for p in points if p.trace is not None)
+        merged = merge_latency(
+            p.metrics.trace for p in points if p.metrics.trace is not None
+        )
         if merged:
             parts.append(f"  {name} — transit latency by message class (all scales):")
             parts.append(
@@ -392,19 +256,19 @@ def trace_report(result: TraceStudyResult, precision: int = 3) -> str:
 # Exports
 # ---------------------------------------------------------------------------
 
-def export_csv(result: TraceStudyResult, fh: TextIO) -> int:
+def export_csv(result: LensStudyResult, fh: TextIO) -> int:
     """One CSV row per (rms, scale, phase); returns the row count."""
     writer = csv.writer(fh)
     writer.writerow(
         ["rms", "scale", "jobs", "incomplete", "phase", "seconds", "share"]
     )
     n = 0
-    for name, points in result.traces.items():
+    for name, points in result.points.items():
         for p in points:
-            agg = p.phases
+            agg = phases(p)
             if not agg:
                 continue
-            shares = p.shares
+            point_shares = shares(p)
             for phase in PHASES:
                 if phase not in agg["phases"]:
                     continue
@@ -416,68 +280,30 @@ def export_csv(result: TraceStudyResult, fh: TextIO) -> int:
                         agg["incomplete"],
                         phase,
                         agg["phases"][phase],
-                        shares.get(phase, 0.0),
+                        point_shares.get(phase, 0.0),
                     ]
                 )
                 n += 1
     return n
 
 
-def export_jsonl(result: TraceStudyResult, fh: TextIO) -> int:
-    """One JSON line per run (full trace payload); returns line count."""
-    n = 0
-    for name, points in result.traces.items():
-        for p in points:
-            fh.write(
-                json.dumps(
-                    {
-                        "rms": name,
-                        "scale": p.scale,
-                        "profile": result.profile,
-                        "seed": result.seed,
-                        "trace_plan": trace_plan_to_jsonable(result.plan),
-                        "record": {
-                            "F": p.metrics.record.F,
-                            "G": p.metrics.record.G,
-                            "H": p.metrics.record.H,
-                        },
-                        "phases": p.phases,
-                        "shares": p.shares,
-                        "trace": p.trace,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
-            n += 1
-    return n
-
-
-def export_prometheus(result: TraceStudyResult, fh: TextIO) -> int:
+def export_prometheus(result: LensStudyResult, fh: TextIO) -> int:
     """Prometheus text exposition of the study's summary samples.
 
     Phase seconds and shares per (rms, scale), the ``g.trace``
     recording overhead with its attribution labels, and per-message-
     class latency quantiles.  Returns the sample count.
     """
-    points = [p for pts in result.traces.values() for p in pts]
+    points = [p for pts in result.points.values() for p in pts]
     n = 0
     n += write_metric(
         fh,
         "repro_trace_phase_seconds_total",
         "counter",
         (
-            (
-                {
-                    "rms": p.rms,
-                    "scale": p.scale,
-                    "profile": result.profile,
-                    "phase": phase,
-                },
-                seconds,
-            )
+            (point_labels(result, p, phase=phase), seconds)
             for p in points
-            for phase, seconds in sorted(p.phases.get("phases", {}).items())
+            for phase, seconds in sorted(phases(p).get("phases", {}).items())
         ),
     )
     n += write_metric(
@@ -485,17 +311,9 @@ def export_prometheus(result: TraceStudyResult, fh: TextIO) -> int:
         "repro_trace_phase_share",
         "gauge",
         (
-            (
-                {
-                    "rms": p.rms,
-                    "scale": p.scale,
-                    "profile": result.profile,
-                    "phase": phase,
-                },
-                share,
-            )
+            (point_labels(result, p, phase=phase), share)
             for p in points
-            for phase, share in sorted(p.shares.items())
+            for phase, share in sorted(shares(p).items())
         ),
     )
     n += write_metric(
@@ -503,10 +321,7 @@ def export_prometheus(result: TraceStudyResult, fh: TextIO) -> int:
         "repro_trace_jobs_sampled",
         "gauge",
         (
-            (
-                {"rms": p.rms, "scale": p.scale, "profile": result.profile},
-                (p.trace or {}).get("sampled"),
-            )
+            (point_labels(result, p), (p.metrics.trace or {}).get("sampled"))
             for p in points
         ),
     )
@@ -514,38 +329,18 @@ def export_prometheus(result: TraceStudyResult, fh: TextIO) -> int:
         fh,
         "repro_trace_overhead_total",
         "counter",
-        (
-            (
-                {
-                    "rms": p.rms,
-                    "scale": p.scale,
-                    "profile": result.profile,
-                    **attribution_labels(key),
-                },
-                value,
-            )
-            for p in points
-            for key, value in sorted((p.metrics.attribution or {}).items())
-            if key.startswith("g.trace")
-        ),
+        overhead_samples(result, "g.trace"),
     )
     n += write_metric(
         fh,
         "repro_trace_latency",
         "gauge",
         (
-            (
-                {
-                    "rms": p.rms,
-                    "scale": p.scale,
-                    "profile": result.profile,
-                    "message_class": kind,
-                    "quantile": q,
-                },
-                snap.get(q),
-            )
+            (point_labels(result, p, message_class=kind, quantile=q), snap.get(q))
             for p in points
-            for kind, snap in sorted((p.trace or {}).get("latency", {}).items())
+            for kind, snap in sorted(
+                (p.metrics.trace or {}).get("latency", {}).items()
+            )
             for q in ("p50", "p95", "p99")
         ),
     )

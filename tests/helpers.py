@@ -9,6 +9,9 @@ tests can assert on individual messages and state transitions.
 shortest-path kernel must match bit for bit, and
 :class:`ReferenceStatusTable` is the push-on-every-write status table
 that :class:`~repro.grid.StatusTable` must answer identically to.
+
+:data:`TINY_PROFILE` is a miniature scaling profile: a real two-scale
+Case-1 study at unit-test cost.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import math
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.core import CostLedger
+from repro.experiments.config import ScaleProfile
 from repro.grid import CostModel, Estimator, Middleware, Resource, SchedulerBase, StatusTable
 from repro.network import Network, Router
 from repro.sim import RngHub, Simulator
@@ -28,6 +32,19 @@ from repro.workload import JobClass, JobSpec
 from repro.grid.jobs import Job
 
 _ids = itertools.count()
+
+TINY_PROFILE = ScaleProfile(
+    name="tiny",
+    base_resources=6,
+    base_schedulers=2,
+    fixed_resources=6,
+    fixed_schedulers=2,
+    base_rate_per_resource=0.0008,
+    horizon=1500.0,
+    drain=4000.0,
+    scales=(1, 2),
+    sa_iterations=1,
+)
 
 
 def reference_single_source(topo: Topology, source: int) -> List[PathInfo]:

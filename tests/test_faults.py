@@ -18,7 +18,7 @@ from repro.faults import (
     plan_to_jsonable,
 )
 
-from helpers import MiniGrid, make_job
+from helpers import TINY_PROFILE, MiniGrid, make_job
 
 
 def tiny_config(rms="LOWEST", **overrides):
@@ -383,35 +383,53 @@ class TestFlightRecorderFaults:
 class TestFaultStudy:
     def test_study_runs_and_writes_attrib_manifest(self, tmp_path):
         from repro.experiments.attrib import points_from_manifest
-        from repro.experiments.config import ScaleProfile
         from repro.experiments.faultstudy import fault_report, run_fault_study
 
         manifest = tmp_path / "faults.json"
         # the real profiles are heavyweight; a miniature one keeps this
         # an actual multi-scale study at unit-test cost
-        tiny = ScaleProfile(
-            name="tiny",
-            base_resources=6,
-            base_schedulers=2,
-            fixed_resources=6,
-            fixed_schedulers=2,
-            base_rate_per_resource=0.0008,
-            horizon=1500.0,
-            drain=4000.0,
-            scales=(1, 2),
-            sa_iterations=1,
-        )
         result = run_fault_study(
-            profile=tiny,
+            profile=TINY_PROFILE,
             rms=["LOWEST"],
             plan=FaultPlan(resource_mttf=500.0, resource_mttr=60.0),
             manifest_path=manifest,
         )
-        points = result.series["LOWEST"]
+        points = result.points["LOWEST"]
         assert [p.scale for p in points] == [1.0, 2.0]
-        assert all(p.faults_g > 0 for p in points)
+        assert all(p.overhead("g.faults") > 0 for p in points)
         report = fault_report(result)
         assert "G:faults" in report and "LOWEST" in report
         loaded = points_from_manifest(manifest)
         assert {p.rms for p in loaded} == {"LOWEST"}
         assert all(p.attribution for p in loaded)
+
+    def test_events_out_replays_the_study_config_under_fluid(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.experiments.runner as runner
+        from repro.experiments.cases import get_case
+        from repro.experiments.cli import _dump_fault_events
+        from repro.experiments.config import PROFILES
+        from repro.experiments.faultstudy import run_fault_study
+        from repro.fluid import FluidPlan
+
+        monkeypatch.setitem(PROFILES, TINY_PROFILE.name, TINY_PROFILE)
+        plan = FaultPlan(resource_mttf=500.0, resource_mttr=60.0)
+        fluid = FluidPlan(mode="fluid")
+        result = run_fault_study(
+            profile=TINY_PROFILE, rms=["LOWEST"], plan=plan, fluid=fluid
+        )
+        replayed = []
+        build = runner.build_system
+
+        def recording_build(config):
+            replayed.append(config)
+            return build(config)
+
+        monkeypatch.setattr(runner, "build_system", recording_build)
+        _dump_fault_events(result, str(tmp_path / "events.jsonl"))
+        study_first = get_case(1).config_for(
+            "LOWEST", 1, TINY_PROFILE, seed=result.seed, faults=plan, fluid=fluid
+        )
+        assert [config_key(c) for c in replayed] == [config_key(study_first)]
+        assert replayed[0].fluid.is_fluid

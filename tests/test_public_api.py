@@ -42,9 +42,12 @@ MODULES = PACKAGES + [
     "repro.experiments.cli",
     "repro.experiments.cliargs",
     "repro.experiments.config",
+    "repro.experiments.attrib",
     "repro.experiments.faultstudy",
+    "repro.experiments.lensstudy",
     "repro.experiments.seriesstudy",
     "repro.experiments.tabulate",
+    "repro.experiments.tracestudy",
     "repro.experiments.watch",
     "repro.faults.injector",
     "repro.faults.plan",

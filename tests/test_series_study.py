@@ -22,9 +22,9 @@ from repro.experiments.parallel import ExperimentEngine, metrics_json_bytes
 from repro.experiments.parallel.cache import RunCache, metrics_to_jsonable
 from repro.experiments.parallel.hashing import config_key
 from repro.experiments.seriesstudy import (
-    SeriesAwareCache,
     run_series_study,
     series_report,
+    steady,
     sweep_report,
 )
 from repro.telemetry.timeseries import MonitorPlan, steady_state
@@ -171,12 +171,14 @@ class TestSweepMonotonicity:
 
 
 class TestSeriesAwareCache:
+    """A plain ``RunCache`` upgrades series-less entries for monitored runs."""
+
     def test_series_less_hit_reads_as_miss_and_upgrades(self, tmp_path):
         base = small_config()
         with ExperimentEngine(jobs=1, cache=RunCache(tmp_path)) as engine:
             engine.run(base)  # cache an unmonitored (series-less) entry
 
-        cache = SeriesAwareCache(tmp_path)
+        cache = RunCache(tmp_path)
         monitored = replace(base, monitor=PASSIVE)
         with ExperimentEngine(jobs=1, cache=cache) as engine:
             m = engine.run(monitored)
@@ -184,19 +186,28 @@ class TestSeriesAwareCache:
         assert cache.misses >= 1
 
         # the rewritten entry now carries the stream: second read hits
-        cache2 = SeriesAwareCache(tmp_path)
+        cache2 = RunCache(tmp_path)
         with ExperimentEngine(jobs=1, cache=cache2) as engine:
             again = engine.run(monitored)
         assert again.series is not None
         assert cache2.hits >= 1
         assert metrics_json_bytes(again) == metrics_json_bytes(m)
 
+    def test_series_less_entry_is_one_miss(self, tmp_path):
+        base = small_config()
+        RunCache(tmp_path).put(base, run_simulation(base))
+        cache = RunCache(tmp_path)
+        with ExperimentEngine(jobs=1, cache=cache) as engine:
+            m = engine.run(replace(base, monitor=PASSIVE))
+        assert m.series is not None
+        assert (cache.hits, cache.misses, cache.writes) == (0, 1, 1)
+
     def test_plain_configs_unaffected(self, tmp_path):
         base = small_config()
-        cache = SeriesAwareCache(tmp_path)
+        cache = RunCache(tmp_path)
         with ExperimentEngine(jobs=1, cache=cache) as engine:
             engine.run(base)
-        cache2 = SeriesAwareCache(tmp_path)
+        cache2 = RunCache(tmp_path)
         with ExperimentEngine(jobs=1, cache=cache2) as engine:
             engine.run(base)
         assert cache2.hits == 1
@@ -208,7 +219,7 @@ class TestStudyDriver:
         root = tmp_path_factory.mktemp("series-study")
         manifest = root / "manifests" / "series.json"
         plan = MonitorPlan(series=True, probe_interval=60.0, charge_rate=0.01)
-        with ExperimentEngine(jobs=1, cache=SeriesAwareCache(root)) as engine:
+        with ExperimentEngine(jobs=1, cache=RunCache(root)) as engine:
             result = run_series_study(
                 profile="ci",
                 rms=["LOWEST", "CENTRAL"],
@@ -220,11 +231,11 @@ class TestStudyDriver:
         return result
 
     def test_points_carry_series_and_steady(self, study):
-        for name, points in study.series.items():
+        for name, points in study.points.items():
             assert len(points) >= 2
             for p in points:
-                assert p.series is not None
-                assert p.steady["rel_error"] < 0.02
+                assert p.metrics.series is not None
+                assert steady(p)["rel_error"] < 0.02
 
     def test_sweep_includes_base_interval(self, study):
         assert set(study.sweep) == {60.0, 120.0}
@@ -233,7 +244,7 @@ class TestStudyDriver:
         from repro.experiments.attrib import check_conservation, points_from_manifest
 
         points = points_from_manifest(study.manifest_path)
-        assert len(points) == sum(len(v) for v in study.series.values())
+        assert len(points) == sum(len(v) for v in study.points.values())
         for p in points:
             assert check_conservation(p) == []
 
