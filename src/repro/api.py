@@ -21,7 +21,7 @@ manifest — to the same spec run locally with ``--jobs N``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace as _dc_replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Optional, Tuple
 
@@ -225,24 +225,20 @@ def _run_faults(spec: StudySpec, engine, fluid, study_cls) -> StudyResult:
 def _run_series(spec: StudySpec, engine, fluid, study_cls) -> StudyResult:
     from .experiments.config import PROFILES
     from .experiments.seriesstudy import (
-        default_probe_interval,
+        default_monitor_plan,
         run_series_study,
         series_report,
         sweep_report,
     )
-    from .telemetry.timeseries import resolve_monitor_plan
 
-    profile = PROFILES[spec.profile]
     intervals = spec.probe_intervals
     # spec > REPRO_SERIES_* env > derived default, per knob
-    plan = resolve_monitor_plan(
-        series=True,
-        window=spec.window,
+    plan = default_monitor_plan(
+        PROFILES[spec.profile],
         probe_interval=intervals[0] if intervals else None,
         charge_rate=spec.charge_rate,
+        window=spec.window,
     )
-    if plan.probe_interval == 0.0:
-        plan = _dc_replace(plan, probe_interval=default_probe_interval(profile))
     manifest_path = _manifest_dir(spec) / "series.json"
     result = run_series_study(
         profile=spec.profile,

@@ -289,22 +289,18 @@ def _cmd_faults(args: argparse.Namespace) -> int:
 def _dump_fault_events(result, path: str) -> None:
     """Re-run the study's smallest config in-process and dump the
     injector's fault-event timeline as JSONL (one event per line)."""
-    from .cases import get_case
     from .runner import build_system
 
     name = next(iter(result.points))
-    profile = PROFILES[result.profile]
-    config = get_case(1).config_for(
-        name, profile.scales[0], profile, seed=result.seed, faults=result.plan,
-        fluid=result.fluid,
-    )
+    point = result.points[name][0]
+    config = point.config
     system = build_system(config)
     system.sim.run(until=config.horizon + config.drain)
     events = [] if system.injector is None else system.injector.events
     with open(path, "w", encoding="utf-8") as fh:
         for event in events:
             fh.write(json.dumps(event, sort_keys=True) + "\n")
-    print(f"{len(events)} fault events ({name}, k={profile.scales[0]:g}) written to {path}")
+    print(f"{len(events)} fault events ({name}, k={point.scale:g}) written to {path}")
 
 
 def _write_exports(args: argparse.Namespace, result, study, csv_rows: str,

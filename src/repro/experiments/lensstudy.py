@@ -61,6 +61,8 @@ class StudyPoint:
     rms: str
     scale: float
     metrics: RunMetrics
+    #: the config the run executed (not part of any report or manifest)
+    config: Optional[SimulationConfig] = field(default=None, compare=False, repr=False)
 
     def overhead(self, prefix: str) -> float:
         """The run's total attributed overhead under ``prefix``.
@@ -189,12 +191,9 @@ def run_lens_study(
     else:
         metrics_list = [run_simulation(c) for c in configs]
 
-    it = iter(metrics_list)
+    it = iter(zip(metrics_list, configs))
     points = {
-        name: [
-            StudyPoint(rms=name, scale=float(k), metrics=next(it))
-            for k in prof.scales
-        ]
+        name: [StudyPoint(name, float(k), *next(it)) for k in prof.scales]
         for name in names
     }
     result = LensStudyResult(
@@ -209,7 +208,7 @@ def run_lens_study(
     )
     if result.manifest_path is not None:
         _write_manifest(result)
-    return result, list(it)
+    return result, [metrics for metrics, _ in it]
 
 
 def _record(p: StudyPoint) -> Dict[str, float]:

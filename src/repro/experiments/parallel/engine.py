@@ -32,6 +32,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ...envknobs import get_int
 from ...telemetry.spans import current as _telemetry
 from ..config import SimulationConfig
+from ..platform import MEMO
 from ..runner import RunMetrics, run_simulation
 from .cache import RunCache
 from .hashing import config_key
@@ -52,8 +53,14 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
 
 
 def _run_config(config: SimulationConfig) -> RunMetrics:
-    """Top-level worker (must be picklable for the process pool)."""
-    return run_simulation(config)
+    """Top-level worker (must be picklable for the process pool).
+
+    Runs on the process's memoized platform (:data:`~repro.experiments.platform.MEMO`):
+    consecutive configs with one platform key, such as a tuner's
+    candidates at one scale, build the topology, grid map and route
+    tables once.  The results are those of a cold run, byte for byte.
+    """
+    return run_simulation(config, platform=MEMO.get(config))
 
 
 def _run_config_timed(config: SimulationConfig) -> Tuple[RunMetrics, int, float]:
@@ -64,7 +71,7 @@ def _run_config_timed(config: SimulationConfig) -> Tuple[RunMetrics, int, float]
     trace.  The metrics are exactly :func:`_run_config`'s.
     """
     t0 = time.monotonic()
-    metrics = run_simulation(config)
+    metrics = _run_config(config)
     return metrics, os.getpid(), time.monotonic() - t0
 
 

@@ -30,7 +30,6 @@ from ..grid.middleware import Middleware
 from ..grid.resource import Resource
 from ..grid.status import StatusTable
 from ..network.messages import Message, MessageKind
-from ..network.routing import Router
 from ..network.transport import Network
 from ..rms.registry import get_rms
 from ..sim.kernel import Simulator
@@ -40,11 +39,10 @@ from ..telemetry import flightrec as _flightrec
 from ..telemetry.spans import current as _telemetry
 from ..telemetry.timeseries import ProbeSampler, RunSeriesRecorder
 from ..telemetry.tracing import TraceRecorder
-from ..topology.generator import TopologyParams, generate_topology
-from ..topology.grid_map import map_grid
 from ..workload.dags import DagWorkloadGenerator
 from ..workload.generator import WorkloadGenerator
 from .config import SimulationConfig
+from .platform import Platform, build_platform, platform_key, site_counts
 
 __all__ = [
     "DependencyCoordinator",
@@ -191,43 +189,34 @@ class RunMetrics:
         return self.record.efficiency
 
 
-def build_system(config: SimulationConfig) -> System:
-    """Construct the managed system described by ``config``."""
+def build_system(
+    config: SimulationConfig, platform: Optional[Platform] = None
+) -> System:
+    """Construct the managed system described by ``config``.
+
+    ``platform`` is the topology, grid map and router to build on (see
+    :mod:`~repro.experiments.platform`); one is built when none is
+    given.  A platform shared with earlier runs gives byte-identical
+    results, but it must have been built for ``config``'s
+    :func:`~repro.experiments.platform.platform_key`.
+    """
     info = get_rms(config.rms)
     hub = RngHub(config.seed)
     sim = Simulator()
     ledger = CostLedger()
 
-    n_sched = 1 if info.centralized else config.n_schedulers
+    n_sched, n_est = site_counts(config)
     n_clusters = n_sched
-    n_est = config.n_estimators if config.n_estimators is not None else n_sched
 
-    # --- topology + placement -----------------------------------------
-    n_nodes = config.n_resources + n_sched
-    topo = generate_topology(
-        TopologyParams(n_nodes=max(4, n_nodes)), hub.stream("topology")
-    )
-    gm = map_grid(
-        topo,
-        n_schedulers=n_sched,
-        n_resources=config.n_resources,
-        n_estimators=n_est,
-    )
-    router = Router(topo)
-    if gm.scheduler_tables is not None:
-        # Donate the mapper's per-scheduler shortest-path tables: scheduler
-        # (and co-located estimator) sites originate nearly all routed
-        # traffic, so the router never recomputes its hottest sources.
-        for node, table in zip(gm.scheduler_nodes, gm.scheduler_tables):
-            router.prime(node, table)
+    # --- topology + placement + routing ---------------------------------
+    if platform is None:
+        platform = build_platform(config)
+    elif platform.key != platform_key(config):
+        raise ValueError(
+            f"platform {platform.key} does not match the config's {platform_key(config)}"
+        )
+    topo, gm, router = platform.topology, platform.grid, platform.router
     fluid_mode = config.fluid.is_fluid
-    if fluid_mode:
-        # At 1e5-scale pools nearly every resource node sends at least
-        # one routed message (job completions), and a per-source
-        # shortest-path table each would dwarf the run itself.  Reverse
-        # lookup reuses the schedulers' cached tables, equal to the
-        # forward path up to the last bit (see ``Router.symmetric``).
-        router.symmetric = True
     plan = config.faults
     network = Network(
         sim,
@@ -495,8 +484,13 @@ def build_system(config: SimulationConfig) -> System:
     )
 
 
-def run_simulation(config: SimulationConfig) -> RunMetrics:
+def run_simulation(
+    config: SimulationConfig, platform: Optional[Platform] = None
+) -> RunMetrics:
     """Build, run, and summarize one simulation.
+
+    ``platform`` is passed on to :func:`build_system`: the batch
+    executors hand in the platform they keep from the previous run.
 
     The arrival window is ``[0, horizon)``; the run then continues (in
     bounded steps) until every submitted job completed or the drain
@@ -522,7 +516,7 @@ def run_simulation(config: SimulationConfig) -> RunMetrics:
     ) as span:
         t0 = time.monotonic()
         try:
-            system = build_system(config)
+            system = build_system(config, platform)
             sim = system.sim
             if rec is not None:
                 rec.note(

@@ -41,6 +41,7 @@ from ..telemetry.timeseries import (
     efficiency_curve,
     merge_series,
     monitor_plan_to_jsonable,
+    resolve_monitor_plan,
     steady_state,
 )
 from .cases import get_case
@@ -104,19 +105,25 @@ def default_monitor_plan(
     profile: ScaleProfile,
     probe_interval: Optional[float] = None,
     charge_rate: Optional[float] = None,
+    window: Optional[float] = None,
 ) -> MonitorPlan:
     """The standard study plan for one profile.
 
-    Windowed streams on with the derived width; probes default to
-    :func:`default_probe_interval`.
+    Windowed streams on; each knob comes from its argument, else its
+    ``REPRO_SERIES_*`` environment variable, else the plan default
+    (:func:`~repro.telemetry.timeseries.resolve_monitor_plan`).  A probe
+    interval set nowhere falls back to :func:`default_probe_interval`.
+    ``repro series`` and :func:`run_series_study` both build their plan here.
     """
-    if probe_interval is None:
-        probe_interval = default_probe_interval(profile)
-    return MonitorPlan(
+    plan = resolve_monitor_plan(
         series=True,
-        probe_interval=float(probe_interval),
-        charge_rate=float(charge_rate) if charge_rate is not None else 0.0,
+        window=window,
+        probe_interval=probe_interval,
+        charge_rate=charge_rate,
     )
+    if plan.probe_interval == 0.0:
+        plan = replace(plan, probe_interval=default_probe_interval(profile))
+    return plan
 
 
 def run_series_study(
@@ -136,9 +143,10 @@ def run_series_study(
     Parameters
     ----------
     plan:
-        Explicit :class:`MonitorPlan`; when ``None``, a default study
-        plan is derived from the profile (``probe_interval`` /
-        ``charge_rate`` override its knobs).
+        Explicit :class:`MonitorPlan`; when ``None``, the
+        :func:`default_monitor_plan` of the profile, honouring the
+        ``REPRO_SERIES_*`` knobs as ``repro series`` does
+        (``probe_interval`` / ``charge_rate`` override them).
     sweep_intervals:
         Additional probe intervals for the overhead/accuracy sweep,
         each run at the base scale for every design with the plan's

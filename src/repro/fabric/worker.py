@@ -7,7 +7,9 @@ then loops — receive a lease, run
 :func:`repro.experiments.runner.run_simulation` on the decoded config,
 send the metrics back.  All policy (dedup, caching, retry, ordering)
 stays coordinator-side, which is what keeps a fabric study
-byte-identical to a local run.
+byte-identical to a local run.  Like the engine's pool workers, it keeps
+the platform of its last run (:data:`repro.experiments.platform.MEMO`),
+so consecutive leases on one platform build it once.
 
 On a lost connection the worker reconnects with a **bumped
 incarnation**: the coordinator treats the old life as forfeit (its
@@ -179,6 +181,7 @@ class Worker:
     def _execute_lease(self, msg) -> dict:
         """Run one leased config; a ``lease_result`` or ``lease_error``."""
         from ..experiments.parallel.cache import metrics_to_jsonable
+        from ..experiments.platform import MEMO
         from ..experiments.runner import run_simulation
 
         base = {
@@ -189,7 +192,7 @@ class Worker:
         }
         try:
             config = config_from_jsonable(msg["config"])
-            metrics = run_simulation(config)
+            metrics = run_simulation(config, platform=MEMO.get(config))
         except Exception as exc:  # noqa: BLE001 - reported to the coordinator
             log.exception("worker %s failed lease %s", self.worker_id, msg["lease_id"])
             return {"type": "lease_error",

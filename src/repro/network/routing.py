@@ -7,18 +7,30 @@ topologies are static for the duration of a run, so the link-state
 database equals the topology and routing reduces to latency-weighted
 shortest paths — computed lazily per source and cached.
 
-The cache is the hot data structure of the whole simulator: a 1000-node
-Case-2 run prices millions of messages, but only between a handful of
-distinct (scheduler, scheduler/resource) pairs, so per-source caching
-makes pricing O(1) amortized.
+The cache is the hot data structure of the whole simulator.  Scheduler
+sites (and the estimators co-located with them) originate most routed
+traffic, and their tables are primed from the grid mapper.  In discrete
+traffic mode, though, every resource sends its own status updates, so
+in practice every node becomes a source: a full-profile Case-1 run at
+k=3 caches a table for 576 of its 576 nodes.  Fluid mode models those
+updates instead and prices the remaining resource sends in reverse from
+the destination's table (:attr:`Router.symmetric`), so in the runs
+measured it holds only the primed scheduler tables.
+
+Each table is a :class:`~repro.topology.paths.PathTable`: three compact
+columns (latency, hops, transmission factor) indexed by destination
+node, 20 bytes a destination.  A router belongs to a
+:class:`~repro.experiments.platform.Platform`, which the batch
+executors keep for the next run on the same platform, so one tuned
+walk pays for each table once per process rather than once per run.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
 from ..topology.graph import Topology
-from ..topology.paths import PathInfo, single_source
+from ..topology.paths import PathInfo, PathTable, single_source
 
 __all__ = ["Router"]
 
@@ -31,25 +43,27 @@ class Router:
     topo:
         The (static) router topology; must be connected for every pair
         of mapped sites to communicate.
+    symmetric:
+        When set, an uncached source may be priced from the
+        destination's cached table instead of computing its own.  The
+        topology is undirected, so the reverse path has the same links,
+        but its latency and transmission-factor sums are added in the
+        opposite order and can differ in the last bit (about a third of
+        pairs on a 576-node generated topology); the hop count can
+        differ between tie-broken equal-latency paths.  Fluid-mode
+        runs accept that ulp-level approximation: at 1e5-scale
+        pools the resource→scheduler completion sends would otherwise
+        trigger one full shortest-path table per resource node.
+        Pricing then depends on which tables are already cached, so
+        the flag is fixed for the router's lifetime.
     """
 
-    def __init__(self, topo: Topology) -> None:
+    def __init__(self, topo: Topology, symmetric: bool = False) -> None:
         self.topology = topo
-        self._cache: Dict[int, List[PathInfo]] = {}
-        #: When set, an uncached source may be priced from the
-        #: destination's cached table instead of computing its own.
-        #: The topology is undirected, so the reverse path has the same
-        #: links, but its latency and transmission-factor sums are
-        #: added in the opposite order and can differ in the last bit
-        #: (about a third of pairs on a 576-node generated topology);
-        #: the hop count can differ between tie-broken equal-latency
-        #: paths.  Fluid-mode builders accept that ulp-level
-        #: approximation: at 1e5-scale pools the resource→scheduler
-        #: completion sends would otherwise trigger one full
-        #: shortest-path table per resource node.
-        self.symmetric = False
+        self.symmetric = symmetric
+        self._cache: Dict[int, PathTable] = {}
 
-    def prime(self, src: int, table: List[PathInfo]) -> None:
+    def prime(self, src: int, table: PathTable) -> None:
         """Seed the cache with a precomputed ``single_source`` table.
 
         The grid mapper already computes one table per scheduler site
@@ -61,13 +75,6 @@ class Router:
         """
         self._cache.setdefault(src, table)
 
-    def _table(self, src: int) -> List[PathInfo]:
-        table = self._cache.get(src)
-        if table is None:
-            table = single_source(self.topology, src)
-            self._cache[src] = table
-        return table
-
     def path_info(self, src: int, dst: int) -> PathInfo:
         """Return ``(latency, hops, transmission_factor)`` for src → dst.
 
@@ -77,11 +84,14 @@ class Router:
         """
         if src == dst:
             return (0.0, 0, 0.0)
-        if self.symmetric and src not in self._cache:
-            table = self._cache.get(dst)
-            if table is not None:
-                return table[src]
-        return self._table(src)[dst]
+        table = self._cache.get(src)
+        if table is None:
+            if self.symmetric:
+                reverse = self._cache.get(dst)
+                if reverse is not None:
+                    return reverse[src]
+            table = self._cache[src] = single_source(self.topology, src)
+        return (table.latency[dst], table.hops[dst], table.factor[dst])
 
     def transit_delay(self, src: int, dst: int, size: float) -> float:
         """End-to-end transit time of a ``size``-unit message src → dst."""

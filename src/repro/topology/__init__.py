@@ -3,11 +3,12 @@
 from .generator import TopologyParams, generate_topology
 from .graph import Link, Topology
 from .grid_map import GridMap, map_grid
-from .paths import multi_source_nearest, single_source
+from .paths import PathTable, multi_source_nearest, single_source
 
 __all__ = [
     "GridMap",
     "Link",
+    "PathTable",
     "Topology",
     "TopologyParams",
     "generate_topology",

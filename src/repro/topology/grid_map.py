@@ -31,13 +31,12 @@ at the site level, not the router level).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import Dict, List, Optional
 
 import numpy as np
 
 from .graph import Topology
-from .paths import PathInfo
+from .paths import PathTable
 
 __all__ = ["GridMap", "map_grid"]
 
@@ -67,12 +66,13 @@ class GridMap:
         the resources it covers).
     scheduler_tables:
         The per-scheduler-site ``single_source`` routing tables the
-        mapper computed for cluster assignment, in ``scheduler_nodes``
-        order.  The builder donates them to the
-        :class:`~repro.network.routing.Router` cache — scheduler (and
-        co-located estimator) sites originate nearly all routed
-        traffic, so reusing the mapper's shortest-path tables means the hot
-        sources never pay a second shortest-path sweep.
+        mapper computed for cluster assignment, one
+        :class:`~repro.topology.paths.PathTable` per entry of
+        ``scheduler_nodes``, in that order.  The mapper reads only their
+        latency columns; ``build_platform`` then primes its
+        :class:`~repro.network.routing.Router` with them, so scheduler
+        (and co-located estimator) sites, the busiest sources, never pay
+        a second shortest-path sweep.
     """
 
     topology: Topology
@@ -83,7 +83,7 @@ class GridMap:
     resources_of_cluster: Dict[int, List[int]] = field(default_factory=dict)
     estimator_of_resource: List[int] = field(default_factory=list)
     schedulers_of_estimator: Dict[int, List[int]] = field(default_factory=dict)
-    scheduler_tables: Optional[List[List[PathInfo]]] = None
+    scheduler_tables: Optional[List[PathTable]] = None
 
     @property
     def n_schedulers(self) -> int:
@@ -165,7 +165,8 @@ def map_grid(
 
     # Resources occupy the remaining routers, wrapping around (multiple
     # resource sites may share a router) when the pool outgrows the graph.
-    non_sched = [u for u in range(n) if u not in set(scheduler_nodes)]
+    sched_sites = set(scheduler_nodes)
+    non_sched = [u for u in range(n) if u not in sched_sites]
     if not non_sched:  # degenerate tiny graph: co-locate
         non_sched = list(range(n))
     resource_nodes = [non_sched[i % len(non_sched)] for i in range(n_resources)]
@@ -190,7 +191,7 @@ def map_grid(
     # per-resource Python sorts alone used to dominate build time.
     res_idx = np.asarray(resource_nodes, dtype=np.intp)
     lat = np.stack(
-        [np.fromiter(map(itemgetter(0), t), float, n)[res_idx] for t in sched_tables]
+        [np.frombuffer(t.latency, dtype=np.float64)[res_idx] for t in sched_tables]
     )
     prefs_of = np.argsort(lat, axis=0, kind="stable")
     nearest = lat[prefs_of[0], np.arange(n_resources)]

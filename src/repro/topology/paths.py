@@ -15,24 +15,51 @@ from __future__ import annotations
 
 import heapq
 import math
+from array import array
 from typing import Iterable, List, Tuple
 
 import numpy as np
 
 from .graph import Topology
 
-__all__ = ["single_source", "multi_source_nearest", "PathInfo"]
+__all__ = ["single_source", "multi_source_nearest", "PathInfo", "PathTable"]
 
 #: (latency, hops, transmission_factor) triple for one destination.
 PathInfo = Tuple[float, int, float]
 
 
-def single_source(topo: Topology, source: int) -> List[PathInfo]:
+class PathTable:
+    """One source's shortest-path table, stored as three columns.
+
+    ``latency`` (``array('d')``), ``hops`` (``array('i')``) and
+    ``factor`` (``array('d')``, the transmission factor) are indexed by
+    destination node: 20 bytes a destination, against ~150 for a tuple
+    of three boxed Python numbers.  Indexing an ``array.array`` yields a
+    plain Python ``float`` or ``int``, so a looked-up route prices
+    messages exactly as the tuple did.  ``table[v]`` is the
+    :data:`PathInfo` row of node ``v``.
+    """
+
+    __slots__ = ("latency", "hops", "factor")
+
+    def __init__(self, latency: array, hops: array, factor: array) -> None:
+        self.latency = latency
+        self.hops = hops
+        self.factor = factor
+
+    def __len__(self) -> int:
+        return len(self.latency)
+
+    def __getitem__(self, node: int) -> PathInfo:
+        return (self.latency[node], self.hops[node], self.factor[node])
+
+
+def single_source(topo: Topology, source: int) -> PathTable:
     """Latency-shortest paths from ``source`` to every node.
 
     Returns
     -------
-    list[PathInfo]
+    PathTable
         For every node ``v``: ``(latency, hops, transmission_factor)``
         along the latency-shortest path from ``source`` to ``v``.
         Unreachable nodes (cannot happen for generated topologies, which
@@ -121,7 +148,11 @@ def single_source(topo: Topology, source: int) -> List[PathInfo]:
         level = node[lo:hi]
         txf[level] = txf[pred[level]] + weight[lo:hi]
     hops[dist == math.inf] = -1
-    return list(zip(dist.tolist(), hops.tolist(), txf.tolist()))
+    return PathTable(
+        array("d", dist.tobytes()),
+        array("i", hops.astype(np.intc).tobytes()),
+        array("d", txf.tobytes()),
+    )
 
 
 def multi_source_nearest(

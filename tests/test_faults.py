@@ -403,6 +403,20 @@ class TestFaultStudy:
         assert {p.rms for p in loaded} == {"LOWEST"}
         assert all(p.attribution for p in loaded)
 
+    def test_events_out_with_an_unregistered_profile(self, tmp_path, capsys):
+        from repro.experiments.cli import _dump_fault_events
+        from repro.experiments.config import PROFILES
+        from repro.experiments.faultstudy import run_fault_study
+
+        assert TINY_PROFILE.name not in PROFILES
+        plan = FaultPlan(resource_mttf=500.0, resource_mttr=60.0)
+        result = run_fault_study(profile=TINY_PROFILE, rms=["LOWEST"], plan=plan)
+        path = tmp_path / "events.jsonl"
+        _dump_fault_events(result, str(path))
+        lines = path.read_text().splitlines()
+        assert lines and all(json.loads(line)["kind"] for line in lines)
+        assert f"{len(lines)} fault events (LOWEST, k=1) written to" in capsys.readouterr().out
+
     def test_events_out_replays_the_study_config_under_fluid(
         self, tmp_path, monkeypatch
     ):

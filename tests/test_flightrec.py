@@ -138,7 +138,7 @@ class TestRunnerIntegration:
 
         flightrec.enable(tmp_path)
 
-        def exploding_build(config):
+        def exploding_build(config, platform=None):
             raise RuntimeError("wired to fail")
 
         monkeypatch.setattr(runner, "build_system", exploding_build)
@@ -187,7 +187,7 @@ class TestRunnerIntegration:
         monkeypatch.setenv(flightrec.ENV_ENABLE, "1")
         monkeypatch.setenv(flightrec.ENV_DIR, str(tmp_path))
 
-        def exploding_build(config):
+        def exploding_build(config, platform=None):
             raise RuntimeError("worker crash")
 
         monkeypatch.setattr(runner, "build_system", exploding_build)

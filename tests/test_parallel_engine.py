@@ -54,7 +54,7 @@ def counting_runner(monkeypatch):
     """Replace the engine's serial run function with a counting stub."""
     calls = []
 
-    def fake_run(config):
+    def fake_run(config, platform=None):
         calls.append(config)
         return stub_metrics(config.seed)
 

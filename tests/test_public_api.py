@@ -57,6 +57,7 @@ MODULES = PACKAGES + [
     "repro.experiments.parallel.manifest",
     "repro.experiments.replication",
     "repro.experiments.reporting",
+    "repro.experiments.platform",
     "repro.experiments.reproduce",
     "repro.experiments.runner",
     "repro.experiments.spec",

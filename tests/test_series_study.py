@@ -325,3 +325,47 @@ class TestCli:
         )
         assert rc == 2
         assert "--probe-interval" in capsys.readouterr().err
+
+
+class TestDefaultPlan:
+    """``run_series_study`` and ``repro series`` resolve one default plan."""
+
+    @staticmethod
+    def _plans(monkeypatch, tmp_path):
+        from repro.experiments import seriesstudy
+        from repro.experiments.cli import main
+
+        plans = []
+
+        class Captured(Exception):
+            pass
+
+        def capture(lens, plan, *args, **kwargs):
+            plans.append(plan)
+            raise Captured
+
+        monkeypatch.setattr(seriesstudy, "run_lens_study", capture)
+        with pytest.raises(Captured):
+            run_series_study(profile="ci", rms=["LOWEST"])
+        with pytest.raises(Captured):
+            main(["series", "--profile", "ci", "--rms", "LOWEST", "--jobs", "1",
+                  "--cache-dir", str(tmp_path)])
+        return plans
+
+    def test_env_knob_reaches_both_entry_points(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("REPRO_SERIES_CHARGE_RATE", "0.5")
+        study, cli = self._plans(monkeypatch, tmp_path)
+        assert study == cli
+        assert study.charge_rate == 0.5
+
+    def test_no_env_keeps_the_profile_default(self, monkeypatch, tmp_path):
+        from repro.experiments.config import PROFILES
+        from repro.experiments.seriesstudy import default_probe_interval
+
+        for name in ("REPRO_SERIES", "REPRO_SERIES_WINDOW",
+                     "REPRO_SERIES_PROBE_INTERVAL", "REPRO_SERIES_CHARGE_RATE"):
+            monkeypatch.delenv(name, raising=False)
+        study, cli = self._plans(monkeypatch, tmp_path)
+        assert study == cli == MonitorPlan(
+            series=True, probe_interval=default_probe_interval(PROFILES["ci"])
+        )

@@ -494,7 +494,7 @@ def _stub_metrics(seed=0):
 def counting_runner(monkeypatch):
     calls = []
 
-    def fake_run(config):
+    def fake_run(config, platform=None):
         calls.append(config)
         return _stub_metrics(config.seed)
 

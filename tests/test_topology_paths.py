@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from repro.sim import RngHub
 from repro.topology import (
+    PathTable,
     Topology,
     TopologyParams,
     generate_topology,
@@ -158,15 +159,20 @@ def tie_heavy_topologies(draw):
     return topo
 
 
+def rows(table):
+    """Every ``(latency, hops, factor)`` row of a ``PathTable``."""
+    return [table[v] for v in range(len(table))]
+
+
 class TestMatchesHeapDijkstra:
     """``single_source`` reproduces the heap Dijkstra's tables exactly:
-    same floats to the last bit, same hop counts."""
+    same floats to the last bit, same hop counts, row by row."""
 
     @settings(max_examples=200, deadline=None)
     @given(topo=tie_heavy_topologies())
     def test_tie_heavy_random_graphs(self, topo):
         for source in range(topo.n_nodes):
-            assert single_source(topo, source) == reference_single_source(topo, source)
+            assert rows(single_source(topo, source)) == reference_single_source(topo, source)
 
     @settings(max_examples=12, deadline=None)
     @given(
@@ -178,7 +184,28 @@ class TestMatchesHeapDijkstra:
             TopologyParams(n_nodes=n), RngHub(seed).stream("topology")
         )
         for source in range(n):
-            assert single_source(topo, source) == reference_single_source(topo, source)
+            assert rows(single_source(topo, source)) == reference_single_source(topo, source)
+
+
+class TestPathTable:
+    def test_columns_are_compact_arrays(self):
+        table = single_source(line(4), 0)
+        assert isinstance(table, PathTable)
+        assert (table.latency.typecode, table.hops.typecode, table.factor.typecode) == (
+            "d", "i", "d")
+        assert len(table) == len(table.latency) == len(table.hops) == len(table.factor) == 4
+
+    def test_rows_are_python_scalars(self):
+        # exact-type check: 0 == 0.0 would let a wrong type through ==
+        topo = generate_topology(TopologyParams(n_nodes=40), RngHub(3).stream("topology"))
+        table = single_source(topo, 5)
+        for row in list(table) + rows(table):
+            assert tuple(map(type, row)) == (float, int, float)
+
+    def test_iteration_and_indexing_agree(self):
+        topo = generate_topology(TopologyParams(n_nodes=40), RngHub(4).stream("topology"))
+        table = single_source(topo, 0)
+        assert list(table) == rows(table) == reference_single_source(topo, 0)
 
 
 class TestMultiSource:
